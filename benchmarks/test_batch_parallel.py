@@ -58,7 +58,8 @@ def _workload(num_nodes: int):
             items[(index * ITEMS_PER_TASK + j) % len(items)]
             for j in range(ITEMS_PER_TASK)
         )
-        # Boost the user's real rating edges: the λ-aware reuse path.
+        # Boost the user's real rating edges, so each task has its own
+        # λ>0 cost surface.
         paths = tuple(
             GraphPath(nodes=(user, item))
             for item in chosen
@@ -127,7 +128,6 @@ def test_batch_parallel_artifact(emit):
                     "seconds": seconds,
                     "ops_per_sec": len(tasks) / seconds,
                     "freeze_seconds": report.freeze_seconds,
-                    "cache_patched": report.cache_patched,
                 }
             )
         if num_nodes == max(BENCH_SIZES):

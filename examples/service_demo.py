@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from repro.api import (
-    CacheConfig,
     EngineConfig,
     ExplanationSession,
     ParallelConfig,
@@ -61,7 +60,6 @@ def main() -> None:
     session = ExplanationSession(
         graph,
         engine=EngineConfig(lam=1.0),
-        cache=CacheConfig(partial_reuse=True),
         parallel=ParallelConfig(workers=2),
         default_method="st",
     )

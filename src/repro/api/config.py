@@ -2,16 +2,16 @@
 
 The legacy entry points (:class:`repro.core.summarizer.Summarizer`,
 :class:`repro.core.batch.BatchSummarizer`) each grew their own copy of
-the ``engine=`` / ``canonical=`` / ``partial_reuse=`` / ``parallel=``
-knob sprawl. The session facade replaces that with three small frozen
-dataclasses, grouped by what they govern:
+the ``engine=`` / ``canonical=`` / ``closure_cache_size=`` /
+``parallel=`` knob sprawl. The session facade replaces that with three
+small frozen dataclasses, grouped by what they govern:
 
 - :class:`EngineConfig` — *how one task is summarized*: traversal
   engine, canonical-SPT tie-breaking, and the Eq. (1) weighting and
   PCST knobs. Any field can be overridden per request through
   :class:`repro.api.requests.SummaryRequest`.
 - :class:`CacheConfig` — *what the session memoizes across tasks*: the
-  terminal-closure LRU capacity and λ-aware partial reuse.
+  terminal-closure LRU capacity.
 - :class:`ParallelConfig` — *which backend runs a batch*: serial,
   threads or processes, worker count, chunking, and the
   multiprocessing start method.
@@ -48,8 +48,9 @@ class EngineConfig:
         (CSR fast path, default; "csr" is an alias) or "dict" (the
         original adjacency walk, the parity oracle).
     canonical:
-        Canonical-SPT tie-breaking for ST closure paths (default on;
-        required for λ-aware partial reuse to stay bit-identical).
+        Canonical-SPT tie-breaking for ST closure paths (default on:
+        paths then follow from final distances alone, not from heap
+        tie-breaking or adjacency insertion order).
     lam, weight_influence:
         Eq. (1) λ and the cost-transform ρ for the ST methods.
     prize_policy, use_edge_weights, strong_pruning:
@@ -98,17 +99,9 @@ class CacheConfig:
     closure_size:
         LRU capacity of the shared terminal-closure cache (and of each
         worker's own cache under the process backend).
-    partial_reuse:
-        λ-aware partial closure reuse (ST only): derive boosted
-        closures from memoized base-cost runs patched with each task's
-        boosted edges. Default on — canonical-SPT reconstruction makes
-        derived closures bit-identical to cold runs. Turn off together
-        with ``EngineConfig.canonical=False`` when heap-order
-        predecessor chains are wanted verbatim.
     """
 
     closure_size: int = 4096
-    partial_reuse: bool = True
 
     def __post_init__(self) -> None:
         if self.closure_size < 1:

@@ -572,6 +572,7 @@ _REPORT_FIELDS = (
     ("total_seconds", (int, float)),
     ("cache_hits", int),
     ("cache_misses", int),
+    # The next three are always 0; protocol_version 1 decoders require them.
     ("cache_patched", int),
     ("cache_base_hits", int),
     ("cache_base_misses", int),

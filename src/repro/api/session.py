@@ -252,14 +252,10 @@ class SessionStats:
 # ----------------------------------------------------------------------
 # Process-pool worker side (chunked scheduler). Module-level so spawn
 # can import it; the per-worker state and summarizer memo live in
-# repro.serving.pool so the chunked executor workers and the
-# work-stealing workers memoize identically.
+# repro.serving.pool (whose ``_init_worker_state`` is this executor's
+# initializer) so the chunked executor workers and the work-stealing
+# workers memoize identically.
 # ----------------------------------------------------------------------
-def _session_worker_init(handle, cache_config: tuple) -> None:
-    """Attach the shared graph (+ store); summarizers built on use."""
-    serving_pool._init_worker_state(handle, cache_config)
-
-
 def _session_run_chunk(jobs: list) -> tuple[list, dict[str, int]]:
     """Summarize one chunk of ``(index, attempt, fault, method, config,
     task)`` jobs.
@@ -631,14 +627,11 @@ class ExplanationSession:
             store = self._ensure_store()
             if store is not None:
                 self._closure_cache = StoreBackedClosureCache(
-                    self.cache_config.closure_size,
-                    partial_reuse=self.cache_config.partial_reuse,
-                    store=store,
+                    self.cache_config.closure_size, store=store
                 )
             else:
                 self._closure_cache = TerminalClosureCache(
-                    self.cache_config.closure_size,
-                    partial_reuse=self.cache_config.partial_reuse,
+                    self.cache_config.closure_size
                 )
         return self._closure_cache
 
@@ -662,18 +655,17 @@ class ExplanationSession:
     def _worker_cache_config(self) -> tuple:
         """The per-worker cache recipe both process pools initialize with.
 
-        ``(closure_size, partial_reuse, store_handle, plugin_modules,
-        trace)`` — the store handle carries the shared-memory token
-        plus its locks (inheritable through process spawn only, never
-        queues), the plugin modules are imported by each worker before
-        it serves tasks, and a truthy ``trace`` tail flips the
-        worker's ambient span recorder on so compute/encode/store
-        spans ride home through the result-pipe stat deltas.
+        ``(closure_size, store_handle, plugin_modules, trace)`` — the
+        store handle carries the shared-memory token plus its locks
+        (inheritable through process spawn only, never queues), the
+        plugin modules are imported by each worker before it serves
+        tasks, and a truthy ``trace`` flips the worker's ambient span
+        recorder on so compute/encode/store spans ride home through the
+        result-pipe stat deltas.
         """
         store = self._ensure_store()
         return (
             self.cache_config.closure_size,
-            self.cache_config.partial_reuse,
             store.handle if store is not None else None,
             self.parallel_config.plugin_modules,
             self._tracer.enabled,
@@ -1097,9 +1089,6 @@ class ExplanationSession:
             total_seconds=time.perf_counter() - start,
             cache_hits=after["hits"] - before["hits"],
             cache_misses=after["misses"] - before["misses"],
-            cache_patched=after["patched"] - before["patched"],
-            cache_base_hits=after["base_hits"] - before["base_hits"],
-            cache_base_misses=after["base_misses"] - before["base_misses"],
             store_hits=after["store_hits"] - before["store_hits"],
             store_misses=after["store_misses"] - before["store_misses"],
             workers=workers,
@@ -1192,7 +1181,7 @@ class ExplanationSession:
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=self._mp_context(),
-                initializer=_session_worker_init,
+                initializer=serving_pool._init_worker_state,
                 initargs=(
                     self._export.handle,
                     self._worker_cache_config(),
@@ -1374,9 +1363,6 @@ class ExplanationSession:
             total_seconds=time.perf_counter() - start,
             cache_hits=stats["hits"],
             cache_misses=stats["misses"],
-            cache_patched=stats["patched"],
-            cache_base_hits=stats["base_hits"],
-            cache_base_misses=stats["base_misses"],
             store_hits=stats["store_hits"],
             store_misses=stats["store_misses"],
             workers=workers,
@@ -1538,9 +1524,6 @@ class ExplanationSession:
             total_seconds=time.perf_counter() - start,
             cache_hits=stats["hits"],
             cache_misses=stats["misses"],
-            cache_patched=stats["patched"],
-            cache_base_hits=stats["base_hits"],
-            cache_base_misses=stats["base_misses"],
             store_hits=stats["store_hits"],
             store_misses=stats["store_misses"],
             workers=workers,

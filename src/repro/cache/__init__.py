@@ -31,7 +31,6 @@ from repro.cache.readthrough import StoreBackedClosureCache
 from repro.cache.store import (
     SharedClosureStore,
     StoreHandle,
-    base_store_key,
     closure_store_key,
     store_digest,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SharedClosureStore",
     "StoreBackedClosureCache",
     "StoreHandle",
-    "base_store_key",
     "closure_store_key",
     "store_digest",
 ]

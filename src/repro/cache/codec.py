@@ -1,48 +1,34 @@
-"""Payload codecs for stored closure entries.
+"""Payload codec for stored closure entries.
 
 A store payload is a flat, self-contained byte string — no pickle, no
 object graph — so a worker can decode it without trusting anything but
-the frozen view it already attached:
+the frozen view it already attached. A closure entry is the id-keyed
+``(dist, prev)`` of a terminal Dijkstra: node ids are mapped through the
+frozen view's dense index (8 bytes instead of a variable-length string),
+distances are raw float64, predecessor links are index pairs.
 
-- **Closure entries** (id-keyed ``(dist, prev)`` of a terminal
-  Dijkstra): node ids are mapped through the frozen view's dense index
-  (8 bytes instead of a variable-length string), distances are raw
-  float64, predecessor links are index pairs.
-- **Base entries** (index-keyed bounded unit runs for λ-aware partial
-  reuse): same layout plus the completeness bound (NaN encodes "whole
-  component settled").
-
-Both codecs preserve **dict iteration order** — entries are written in
+The codec preserves **dict iteration order** — entries are written in
 the source dict's order (the Dijkstra settle order) and decoded by
 inserting in that same order, so a decoded dict iterates exactly like
-the original. Downstream code derives bounds from ``next(reversed(
-dist))`` and replays tie-breaks from iteration order; order-preserving
-codecs are what keep store-on runs bit-identical to store-off runs.
+the original. Order-preserving payloads are what keep store-on runs
+bit-identical to store-off runs.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from array import array
 
 #: Closure header: (n_dist: int64, n_prev: int64).
 _CLOSURE_HEADER = struct.Struct("<qq")
-#: Base header: (n_dist: int64, n_prev: int64, bound: float64).
-_BASE_HEADER = struct.Struct("<qqd")
 
 
 def encode_closure(frozen, dist, prev) -> bytes | None:
     """Pack an id-keyed closure entry; None when it is not packable.
 
-    Only plain-dict results of a fresh ``dijkstra_frozen`` qualify:
-    derived (overlay-patched) closures answer lazy off-target lookups
-    through live base-run state that cannot travel, and ids outside the
-    frozen view (impossible for a settle set, but checked) would not
-    round-trip.
+    Ids outside the frozen view (impossible for a settle set, but
+    checked) would not round-trip.
     """
-    if type(dist) is not dict or type(prev) is not dict:
-        return None
     index_of = frozen.index_of
     try:
         dist_idx = array("q", (index_of(node) for node in dist))
@@ -84,40 +70,3 @@ def decode_closure(frozen, payload: bytes):
         for i in range(n_prev)
     }
     return dist, prev
-
-
-def encode_base(dist, prev, bound) -> bytes | None:
-    """Pack an index-keyed base entry ``(dist, prev, bound)``."""
-    if type(dist) is not dict or type(prev) is not dict:
-        return None
-    header = _BASE_HEADER.pack(
-        len(dist), len(prev), math.nan if bound is None else float(bound)
-    )
-    dist_idx = array("q", dist.keys())
-    values = array("d", dist.values())
-    prev_pairs = array("q")
-    for node, parent in prev.items():
-        prev_pairs.append(node)
-        prev_pairs.append(parent)
-    return b"".join(
-        (header, dist_idx.tobytes(), values.tobytes(), prev_pairs.tobytes())
-    )
-
-
-def decode_base(payload: bytes):
-    """Unpack :func:`encode_base` → ``(dist, prev, bound)``."""
-    n_dist, n_prev, bound = _BASE_HEADER.unpack_from(payload, 0)
-    offset = _BASE_HEADER.size
-    dist_idx = array("q")
-    dist_idx.frombytes(payload[offset : offset + n_dist * 8])
-    offset += n_dist * 8
-    values = array("d")
-    values.frombytes(payload[offset : offset + n_dist * 8])
-    offset += n_dist * 8
-    prev_pairs = array("q")
-    prev_pairs.frombytes(payload[offset : offset + n_prev * 16])
-    dist = {dist_idx[i]: values[i] for i in range(n_dist)}
-    prev = {
-        prev_pairs[2 * i]: prev_pairs[2 * i + 1] for i in range(n_prev)
-    }
-    return dist, prev, (None if math.isnan(bound) else bound)

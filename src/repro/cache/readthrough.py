@@ -3,17 +3,15 @@
 :class:`StoreBackedClosureCache` is a
 :class:`~repro.core.batch.TerminalClosureCache` whose tier hooks are
 live: a local miss consults the shared store before computing (miss →
-compute locally → publish), for both the per-signature closure entries
-and the λ-independent base-cost runs partial reuse is built from. The
-local LRU stays in front — a store hit is decoded once and then served
-from process memory like any other entry.
+compute locally → publish). The local LRU stays in front — a store hit
+is decoded once and then served from process memory like any other
+entry.
 
-Bit-identity is preserved end to end: only fresh, plain-dict Dijkstra
-results are published (derived overlay closures answer lazy lookups
-through live state and never travel), the codecs preserve settle
-order, and a fetched entry passes the *same* covering checks a local
-entry must — so the summarizer sees exactly the ``(dist, prev)`` a
-cold run would have produced.
+Bit-identity is preserved end to end: every published entry is a fresh
+``dijkstra_frozen`` result, the codec preserves settle order, and a
+fetched entry passes the *same* covering check a local entry must — so
+the summarizer sees exactly the ``(dist, prev)`` a cold run would have
+produced.
 
 Failure posture: the store is an accelerator. Undecodable payloads,
 opaque signatures, stranded locks, or a store torn down mid-flight all
@@ -24,15 +22,9 @@ from __future__ import annotations
 
 import time
 
-from repro.cache.codec import (
-    decode_base,
-    decode_closure,
-    encode_base,
-    encode_closure,
-)
+from repro.cache.codec import decode_closure, encode_closure
 from repro.cache.store import (
     SharedClosureStore,
-    base_store_key,
     closure_store_key,
     store_digest,
 )
@@ -51,13 +43,9 @@ class StoreBackedClosureCache(TerminalClosureCache):
     """
 
     def __init__(
-        self,
-        maxsize: int = 4096,
-        partial_reuse: bool = False,
-        *,
-        store: SharedClosureStore,
+        self, maxsize: int = 4096, *, store: SharedClosureStore
     ) -> None:
-        super().__init__(maxsize, partial_reuse=partial_reuse)
+        super().__init__(maxsize)
         self._store = store
 
     def _store_get(self, digest):
@@ -98,7 +86,6 @@ class StoreBackedClosureCache(TerminalClosureCache):
             bytes=len(payload),
         )
 
-    # -- closure entries ----------------------------------------------
     def _tier_fetch(self, frozen, source, signature, rest):
         key = closure_store_key(frozen.version, source, signature)
         if key is None:
@@ -131,35 +118,3 @@ class StoreBackedClosureCache(TerminalClosureCache):
         if payload is None:
             return
         self._store_put(store_digest(key), payload, len(dist))
-
-    # -- base-cost entries --------------------------------------------
-    def _tier_fetch_base(self, frozen, index, radius, required):
-        digest = store_digest(base_store_key(frozen.version, index))
-        payload = self._store_get(digest)
-        if payload is None:
-            with self._lock:
-                self.store_misses += 1
-            return None
-        try:
-            entry = decode_base(payload)
-        except Exception:
-            with self._lock:
-                self.store_misses += 1
-            return None
-        if not self._base_entry_covers(entry, radius, required):
-            with self._lock:
-                self.store_misses += 1
-            return None
-        with self._lock:
-            self.store_hits += 1
-        return entry
-
-    def _tier_publish_base(self, frozen, index, dist, prev, bound) -> None:
-        payload = encode_base(dist, prev, bound)
-        if payload is None:
-            return
-        self._store_put(
-            store_digest(base_store_key(frozen.version, index)),
-            payload,
-            len(dist),
-        )

@@ -125,11 +125,6 @@ def closure_store_key(version: int, source: str, signature) -> bytes | None:
     return b"".join(out)
 
 
-def base_store_key(version: int, index: int) -> bytes:
-    """Canonical key of one base-cost (unit) run entry."""
-    return b"Bv%d:i%d" % (version, index)
-
-
 def store_digest(key: bytes) -> bytes:
     """16-byte BLAKE2b digest — the directory's fixed-width key."""
     return hashlib.blake2b(key, digest_size=16).digest()

@@ -8,7 +8,6 @@ Usage::
     repro-xsum userstudy
     repro-xsum batch --tasks tasks.jsonl --method ST
     repro-xsum batch --demo 100 --method ST --parallel processes --workers 4
-    repro-xsum batch --demo 100 --no-partial-reuse
     repro-xsum batch --demo 100 --stream
     repro-xsum batch --demo 100 --parallel processes --scheduler chunked
     repro-xsum batch --demo 100 --parallel processes --min-workers 1 --max-workers 8
@@ -89,7 +88,6 @@ def _print_panels(name: str, panels) -> None:
 def _run_batch(parser: argparse.ArgumentParser, args) -> int:
     """The ``batch`` subcommand: one session, freeze once, serve tasks."""
     from repro.api import (
-        CacheConfig,
         ClosureStoreConfig,
         EngineConfig,
         ExplanationSession,
@@ -121,7 +119,6 @@ def _run_batch(parser: argparse.ArgumentParser, args) -> int:
     session = ExplanationSession(
         bench.graph,
         engine=EngineConfig(engine=args.engine),
-        cache=CacheConfig(partial_reuse=args.partial_reuse),
         parallel=ParallelConfig(
             backend=None if args.parallel == "auto" else args.parallel,
             workers=args.workers,
@@ -401,16 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=64.0,
         help="closure store slab capacity in MiB (with --closure-store)",
-    )
-    batch_group.add_argument(
-        "--partial-reuse",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="ST only: λ-aware closure reuse — recombine memoized "
-        "base-cost Dijkstra runs with each task's boosted edges. "
-        "Default on: canonical-SPT reconstruction makes derived "
-        "closures bit-identical to cold runs; --no-partial-reuse "
-        "restores always-fresh boosted closures",
     )
     obs_group = parser.add_argument_group("observability")
     obs_group.add_argument(

@@ -21,18 +21,6 @@ shorter run on every entry the Steiner construction reads. Predecessor
 chains are safe because Eq. (1) costs are bounded below by ``1 - ρ > 0``
 — every node on a shortest path settles strictly before its target.
 
-A second tier (``partial_reuse``, default on in the batch engine)
-extends reuse to λ>0 workloads whose tasks boost *different* edges:
-base-cost (unit) Dijkstra runs are memoized once per node — bounded to
-the radius the task actually needs — and recombined with each task's
-boosted edges through a small overlay graph (see
-:meth:`TerminalClosureCache._patched_closure`). Distances are exact and
-accumulated in the same fold order as a cold run, and the summarizer's
-canonical-SPT reconstruction (see
-:func:`repro.graph.steiner.canonical_shortest_path`) picks predecessors
-from those distances alone — so derived closures produce bit-identical
-summaries to cold runs, which is what lets the tier default on.
-
 Batch *execution* moved to the service layer: a long-lived
 :class:`repro.api.ExplanationSession` owns the frozen view, the
 shared-memory export, the warm process pool and this module's
@@ -62,84 +50,8 @@ from pathlib import Path as FilePath
 from repro.core.explanation import SubgraphExplanation
 from repro.core.scenarios import SummaryTask
 from repro.core.summarizer import METHODS
-from repro.graph.heap import AddressableHeap
 from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.graph.shortest_paths import dijkstra_frozen, dijkstra_indexed
-
-#: Cache-key marker for base-cost (all-unit) Dijkstra runs — a sentinel
-#: no real cost signature can equal, so base entries and per-signature
-#: closure entries share one LRU without colliding.
-_BASE_COSTS = ("__base-unit__",)
-
-
-def _fold_units(value: float, steps: float) -> float:
-    """Append ``steps`` unit edges to a distance, one ``+ 1.0`` at a time.
-
-    ``steps`` is an exact integer-valued float (a unit-cost Dijkstra
-    distance). Floating-point addition is not associative, so
-    ``value + steps`` can differ in the last ulp from what a cold
-    Dijkstra accumulates walking the same segment edge by edge; folding
-    reproduces the cold accumulation order bit-for-bit, which the
-    canonical-SPT equality test relies on.
-    """
-    for _ in range(int(steps)):
-        value += 1.0
-    return value
-
-
-class _OverlayDistances(dict):
-    """Id-keyed boosted distances with lazy off-target lookups.
-
-    Explicit entries (plain dict items) are the requested targets — the
-    keys the closure cache's covering check and the Steiner closure
-    read. ``get`` additionally answers any other node by folding the
-    memoized base runs through the overlay hub distances
-    (``min over hubs of fold(h_dist[hub], base_dist[hub][node])``),
-    which is exactly the decomposition a cold run's distance surface
-    realizes — bit-equal values, computed on demand. That lazy surface
-    is what canonical-SPT path reconstruction scans, so closures
-    derived here reconstruct the *same* canonical paths as cold runs.
-
-    Lazy values are memoized in a side table rather than into the
-    mapping itself: ``keys()`` must keep meaning "targets whose
-    predecessor chains were recorded", which the cache's reuse check
-    relies on, while canonical reconstruction re-queries shared path
-    prefixes often enough that recomputing the min-fold would hurt.
-    """
-
-    __slots__ = ("_frozen", "_base", "_h_dist", "_memo")
-
-    def __init__(self, frozen, base, h_dist):
-        super().__init__()
-        self._frozen = frozen
-        self._base = base
-        self._h_dist = h_dist
-        self._memo: dict = {}
-
-    def get(self, key, default=None):
-        if key in self:
-            return dict.__getitem__(self, key)
-        if key in self._memo:
-            value = self._memo[key]
-            return value if value is not None else default
-        index = self._frozen._index.get(key)
-        if index is None:
-            self._memo[key] = None
-            return default
-        best = None
-        h_dist = self._h_dist
-        for hub, (base_dist, _prev) in self._base.items():
-            through = h_dist.get(hub)
-            if through is None:
-                continue
-            leg = base_dist.get(index)
-            if leg is None:
-                continue
-            value = _fold_units(through, leg)
-            if best is None or value < best:
-                best = value
-        self._memo[key] = best
-        return best if best is not None else default
+from repro.graph.shortest_paths import dijkstra_frozen
 
 
 class TerminalClosureCache:
@@ -151,44 +63,19 @@ class TerminalClosureCache:
     Thread-safe (the batch engine shares one cache across workers); the
     Dijkstra itself runs outside the lock, so concurrent misses on the
     same key merely duplicate work, never corrupt results.
-
-    λ-aware partial reuse (``partial_reuse=True``) adds a second tier
-    for boosted cost surfaces — Eq. (1) surfaces that are the unit base
-    patched on a handful of boosted slots (declared via
-    ``FrozenCosts.overrides``). On an exact-signature miss the closure
-    is *derived* instead of recomputed from scratch: radius-bounded
-    base-cost runs from the source and from every boosted-edge endpoint
-    (memoized under a shared base key, so they cut across tasks with
-    **disjoint** boost sets) are recombined through a tiny overlay graph
-    whose nodes are the boosted endpoints and whose edges are base
-    distances plus the boosted edges themselves. Distances are exact
-    (boosts only ever lower costs, so every shortest path decomposes
-    into base segments joined at boosted edges) and bit-equal to a cold
-    run's (unit segments are re-folded in cold accumulation order); the
-    returned ``dist`` also answers lazy off-target lookups, so the
-    summarizer's canonical-SPT reconstruction recovers the *same* paths
-    a cold run would. The raw ``prev`` chains still reflect overlay
-    hop order — consumers that want heap-order chains verbatim (and
-    only those) should keep the tier off.
     """
 
-    #: Partial-reuse bail-out: with more boosted-edge endpoints than
-    #: this, the per-hub base runs + O(hubs^2) overlay cost more than
-    #: the single early-exit fresh run they replace.
-    MAX_OVERLAY_HUBS = 48
+    # Always 0; kept because perfbench's traced closure counters read them.
+    patched = 0
+    base_hits = 0
+    base_misses = 0
 
-    def __init__(
-        self, maxsize: int = 4096, partial_reuse: bool = False
-    ) -> None:
+    def __init__(self, maxsize: int = 4096) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        self.partial_reuse = partial_reuse
         self.hits = 0
         self.misses = 0
-        self.patched = 0
-        self.base_hits = 0
-        self.base_misses = 0
         # Second-tier (shared store) lookups; stay 0 on this class —
         # :class:`repro.cache.StoreBackedClosureCache` counts into them.
         self.store_hits = 0
@@ -229,31 +116,20 @@ class TerminalClosureCache:
                     return entry
             # Local miss: consult the shared tier (a no-op here; the
             # store-backed subclass fetches a sibling worker's run),
-            # then derive, then compute fresh — publishing only fresh
-            # plain-dict runs back to the tier.
+            # then compute fresh and publish the run back to the tier.
             result = self._tier_fetch(frozen, source, signature, rest)
             if result is not None:
                 with self._lock:
                     self.hits += 1
             else:
-                if self.partial_reuse and getattr(
-                    costs, "overrides", None
-                ):
-                    result = self._patched_closure(
-                        frozen, costs, source, rest
-                    )
-                if result is not None:
-                    with self._lock:
-                        self.patched += 1
-                else:
-                    result = dijkstra_frozen(
-                        frozen, source, costs=costs, targets=rest
-                    )
-                    with self._lock:
-                        self.misses += 1
-                    self._tier_publish(
-                        frozen, source, signature, result[0], result[1]
-                    )
+                result = dijkstra_frozen(
+                    frozen, source, costs=costs, targets=rest
+                )
+                with self._lock:
+                    self.misses += 1
+                self._tier_publish(
+                    frozen, source, signature, result[0], result[1]
+                )
             dist, prev = result
             with self._lock:
                 # The cache may have been rebound to a newer frozen view
@@ -272,122 +148,6 @@ class TerminalClosureCache:
         return pairs
 
     # ------------------------------------------------------------------
-    # λ-aware partial reuse: base runs + boosted-edge overlay
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _base_entry_covers(entry, radius, required) -> bool:
-        """Does a cached base run cover this request?
-
-        Entries record the radius they are *complete through* (``None``
-        = whole component settled). A required-set request is covered
-        once every required node appears — bounded entries only contain
-        nodes within their bound, so membership implies the entry is
-        complete through the farthest required distance, which is the
-        radius the caller derives from it.
-        """
-        dist, _prev, bound = entry
-        if bound is None:
-            return True
-        if required is not None:
-            return required <= dist.keys()
-        return radius is not None and bound >= radius
-
-    def _base_run(
-        self,
-        frozen,
-        index: int,
-        radius: float | None = None,
-        required: set[int] | None = None,
-    ):
-        """Bounded unit-cost Dijkstra from a node, memoized.
-
-        These runs are λ-independent — every boosted surface shares
-        them — so entries keyed ``(index, _BASE_COSTS)`` are the tier
-        that cuts across tasks with disjoint boost sets. Instead of
-        settling whole components, runs are *radius-bounded*: a
-        ``required`` request settles through the farthest required
-        node's distance tier (``cover_targets``), a ``radius`` request
-        through the given bound — either way the entry is complete
-        through its recorded bound and is reused for any request it
-        covers, deepened (recomputed and replaced) otherwise. Returns
-        the index-keyed ``(dist, prev)`` of ``dijkstra_indexed``.
-        Lookups count into ``base_hits``/``base_misses``, not
-        ``hits``/``misses`` — the report's closure hit rate stays about
-        closure requests.
-        """
-        key = (index, _BASE_COSTS)
-        with self._lock:
-            # Base keys are index-keyed, and a dense index means a
-            # different node on a different frozen view — so reads (like
-            # every write path) are only valid against the view this
-            # cache is currently bound to. A stale caller computes fresh.
-            entry = (
-                self._entries.get(key)
-                if frozen is self._frozen
-                else None
-            )
-            if entry is not None and self._base_entry_covers(
-                entry, radius, required
-            ):
-                self._entries.move_to_end(key)
-                self.base_hits += 1
-                return entry[0], entry[1]
-        fetched = self._tier_fetch_base(frozen, index, radius, required)
-        if fetched is not None:
-            dist, prev, bound = fetched
-            with self._lock:
-                self.base_hits += 1
-            self._remember_base(frozen, key, dist, prev, bound)
-            return dist, prev
-        if required:
-            dist, prev = dijkstra_indexed(
-                frozen,
-                index,
-                costs=frozen.shared_unit_costs(),
-                targets=set(required),
-                cover_targets=True,
-            )
-            # Unreachable required nodes mean the heap ran dry: the
-            # whole component settled, so the run is complete.
-            bound = (
-                None
-                if required - dist.keys()
-                else dist[next(reversed(dist))]
-            )
-        else:
-            dist, prev = dijkstra_indexed(
-                frozen,
-                index,
-                costs=frozen.shared_unit_costs(),
-                radius=radius,
-            )
-            bound = radius
-        with self._lock:
-            self.base_misses += 1
-        self._remember_base(frozen, key, dist, prev, bound)
-        self._tier_publish_base(frozen, index, dist, prev, bound)
-        return dist, prev
-
-    def _remember_base(self, frozen, key, dist, prev, bound) -> None:
-        """Insert one base entry, replace-if-more-settled (LRU-trimmed)."""
-        with self._lock:
-            if frozen is self._frozen:
-                current = self._entries.get(key)
-                # Replace when the new run settled more — or settled
-                # the same nodes under a deeper bound (an empty
-                # annulus): keeping the shallow bound would re-run the
-                # identical Dijkstra on every future deeper request.
-                if current is None or len(current[0]) < len(dist) or (
-                    len(current[0]) == len(dist)
-                    and current[2] is not None
-                    and (bound is None or bound > current[2])
-                ):
-                    self._entries[key] = (dist, prev, bound)
-                    self._entries.move_to_end(key)
-                    while len(self._entries) > self.maxsize:
-                        self._entries.popitem(last=False)
-
-    # ------------------------------------------------------------------
     # Shared-tier hooks (no-ops here; see repro.cache.readthrough)
     # ------------------------------------------------------------------
     def _tier_fetch(self, frozen, source, signature, rest):
@@ -396,167 +156,6 @@ class TerminalClosureCache:
 
     def _tier_publish(self, frozen, source, signature, dist, prev) -> None:
         """Offer one fresh closure run to the second tier."""
-
-    def _tier_fetch_base(self, frozen, index, radius, required):
-        """Second-tier base-run lookup: ``(dist, prev, bound)`` or None."""
-        return None
-
-    def _tier_publish_base(
-        self, frozen, index, dist, prev, bound
-    ) -> None:
-        """Offer one fresh base run to the second tier."""
-
-    def _patched_closure(self, frozen, costs, source: str, rest: set[str]):
-        """Derive a boosted closure from base runs + an overlay graph.
-
-        Exact by decomposition: boosts only lower slot costs, so any
-        shortest path under the boosted surface splits into base-cost
-        segments joined at boosted edges. The overlay graph has the
-        source, the boosted-edge endpoints and the targets as nodes;
-        base distances (from memoized radius-bounded unit runs) and the
-        boosted edges as weighted edges. A Dijkstra over that handful
-        of nodes yields the exact boosted distances, and expanding its
-        hops through the base predecessor chains yields exact shortest
-        paths.
-
-        Two properties make the derivation interchangeable with a cold
-        run:
-
-        - *Fold-order parity*: overlay relaxations add unit base
-          segments one ``+ 1.0`` at a time (:func:`_fold_units`), the
-          same floating-point accumulation order as a cold heap walking
-          the segment edge by edge — derived distances are bit-equal to
-          cold ones, not merely mathematically equal.
-        - *Radius bounds*: the source's base run settles through the
-          farthest requested target's distance tier, which bounds every
-          base segment a shortest boosted path can use; the per-hub
-          runs are clipped to that radius instead of settling whole
-          components (the ROADMAP's "early-bounded base runs" item).
-
-        Returns id-keyed ``(dist, prev)`` covering the reachable
-        targets — ``dist`` is an :class:`_OverlayDistances` view that
-        also answers (bit-exact) lazy lookups for any settled node, the
-        surface canonical-SPT reconstruction scans — or None when the
-        override structure is not the symmetric-decrease shape the
-        decomposition needs (the caller then falls back to a fresh run).
-        """
-        edges: dict[tuple[int, int], float] = {}
-        slot_count: dict[tuple[int, int], int] = {}
-        for slot, value in costs.overrides:
-            if value > 1.0:
-                return None
-            u, v = frozen.slot_endpoints(slot)
-            key = (u, v) if u < v else (v, u)
-            if key in edges and edges[key] != value:
-                return None
-            edges[key] = value
-            slot_count[key] = slot_count.get(key, 0) + 1
-        if any(count != 2 for count in slot_count.values()):
-            return None
-
-        ids = frozen.ids
-        source_idx = frozen.index_of(source)
-        target_of = {}
-        for target in sorted(rest):
-            if target in frozen:
-                target_of[frozen.index_of(target)] = target
-        hubs = [source_idx] + sorted(
-            {i for pair in edges for i in pair} - {source_idx}
-        )
-        if len(hubs) > self.MAX_OVERLAY_HUBS:
-            # One bounded base run per hub plus an O(hubs^2) overlay
-            # only beats a single early-exit fresh run while the boost
-            # set is small; past this point fall back to the fresh run.
-            return None
-        # The source run doubles as the radius oracle: it settles
-        # through the farthest requested target's distance tier, and
-        # that distance bounds every base segment on any shortest
-        # boosted path to a target (boosts only shorten paths, so
-        # boosted distances never exceed the base distance from the
-        # source — hubs beyond the bound can't lie on a useful path).
-        required = set(target_of) - {source_idx}
-        source_dist, source_prev = self._base_run(
-            frozen, source_idx, required=required
-        )
-        radius = max(
-            (source_dist[x] for x in required if x in source_dist),
-            default=0.0,
-        )
-        base = {source_idx: (source_dist, source_prev)}
-        for hub in hubs[1:]:
-            base[hub] = self._base_run(frozen, hub, radius=radius)
-        h_nodes = sorted(set(hubs) | set(target_of))
-
-        boosted_adj: dict[int, list[tuple[int, float]]] = {}
-        for (u, v), value in edges.items():
-            boosted_adj.setdefault(u, []).append((v, value))
-            boosted_adj.setdefault(v, []).append((u, value))
-
-        heap: AddressableHeap[int] = AddressableHeap()
-        heap.push(source_idx, 0.0)
-        h_dist: dict[int, float] = {}
-        h_prev: dict[int, tuple[int, bool]] = {}
-        tentative: dict[int, tuple[int, bool]] = {}
-        while heap:
-            node, d = heap.pop_min()
-            h_dist[node] = d
-            if node in tentative:
-                h_prev[node] = tentative[node]
-            base_run = base.get(node)
-            if base_run is None:
-                continue  # plain targets are sinks in the overlay
-            base_dist = base_run[0]
-            for other in h_nodes:
-                if other in h_dist or other == node:
-                    continue
-                base_d = base_dist.get(other)
-                if base_d is not None and heap.decrease_if_lower(
-                    other, _fold_units(d, base_d)
-                ):
-                    tentative[other] = (node, False)
-            for other, value in boosted_adj.get(node, ()):
-                if other in h_dist:
-                    continue
-                if heap.decrease_if_lower(other, d + value):
-                    tentative[other] = (node, True)
-
-        dist = _OverlayDistances(frozen, base, h_dist)
-        prev: dict[str, str] = {}
-        for t_idx in sorted(target_of):
-            if t_idx not in h_dist:
-                continue  # disconnected, exactly like the fresh run
-            dist[target_of[t_idx]] = h_dist[t_idx]
-            path = self._expand_overlay_path(base, h_prev, source_idx, t_idx)
-            # First-writer-wins keeps every recorded chain a shortest
-            # path: each written node carries its exact boosted distance,
-            # so splicing a later path onto an earlier one at a shared
-            # node preserves both length and termination at the source.
-            for above, node in zip(path, path[1:]):
-                prev.setdefault(ids[node], ids[above])
-        return dist, prev
-
-    @staticmethod
-    def _expand_overlay_path(base, h_prev, source_idx: int, t_idx: int):
-        """Expand an overlay hop sequence into a full index path."""
-        hops = []
-        node = t_idx
-        while node != source_idx:
-            above, boosted = h_prev[node]
-            hops.append((above, node, boosted))
-            node = above
-        hops.reverse()
-        path = [source_idx]
-        for above, node, boosted in hops:
-            if boosted:
-                path.append(node)
-                continue
-            chain = [node]
-            base_prev = base[above][1]
-            while chain[-1] != above:
-                chain.append(base_prev[chain[-1]])
-            chain.reverse()
-            path.extend(chain[1:])
-        return path
 
 
 #: Valid ``TaskFailure.cause`` values: the worker process died while
@@ -651,6 +250,7 @@ class BatchReport:
     total_seconds: float
     cache_hits: int = 0
     cache_misses: int = 0
+    # Always 0; kept because v1 report decoders and perfbench read them.
     cache_patched: int = 0
     cache_base_hits: int = 0
     cache_base_misses: int = 0
@@ -761,13 +361,6 @@ class BatchReport:
                 f"  closures   {self.cache_hits}/{total} cache hits "
                 f"({self.cache_hits / total:.0%})"
             )
-        if self.cache_patched:
-            base_total = self.cache_base_hits + self.cache_base_misses
-            lines.append(
-                f"  patched    {self.cache_patched} closures derived "
-                f"from base runs (λ-aware reuse; "
-                f"{self.cache_base_hits}/{base_total} base-run hits)"
-            )
         if self.store_hits or self.store_misses:
             store_total = self.store_hits + self.store_misses
             lines.append(
@@ -787,15 +380,7 @@ class BatchReport:
 PARALLEL_BACKENDS = ("serial", "threads", "processes")
 
 #: Counter attributes mirrored between caches and reports.
-_STAT_KEYS = (
-    "hits",
-    "misses",
-    "patched",
-    "base_hits",
-    "base_misses",
-    "store_hits",
-    "store_misses",
-)
+_STAT_KEYS = ("hits", "misses", "store_hits", "store_misses")
 
 #: Infrastructure failures that demote the process backend to a local
 #: run instead of failing the batch: shared-memory/pool setup errors,
@@ -838,7 +423,7 @@ class BatchSummarizer:
 
     Parameters match the historical constructor: ``method`` ("ST",
     "ST-fast", "PCST", "Union"), ``workers``, ``closure_cache_size``,
-    ``partial_reuse``, ``parallel`` ("serial" / "threads" /
+    ``parallel`` ("serial" / "threads" /
     "processes" / None for auto), ``chunk_size``, ``mp_start_method``,
     and ``**params`` forwarded to the summarizer (lam,
     weight_influence, prize_policy, use_edge_weights, strong_pruning,
@@ -873,7 +458,6 @@ class BatchSummarizer:
         method: str = "ST",
         workers: int = 0,
         closure_cache_size: int = 4096,
-        partial_reuse: bool = True,
         parallel: str | None = None,
         chunk_size: int | None = None,
         mp_start_method: str | None = None,
@@ -913,16 +497,12 @@ class BatchSummarizer:
             "REPRO_MP_START_METHOD"
         ) or None
         self.closure_cache_size = closure_cache_size
-        self.partial_reuse = partial_reuse
         self.scheduler = scheduler
         self._params = dict(params)
         self._session = ExplanationSession(
             graph,
             engine=EngineConfig(**params),
-            cache=CacheConfig(
-                closure_size=closure_cache_size,
-                partial_reuse=partial_reuse,
-            ),
+            cache=CacheConfig(closure_size=closure_cache_size),
             parallel=ParallelConfig(
                 backend=parallel,
                 workers=workers,

@@ -54,9 +54,8 @@ class SteinerSummarizer:
         id from the final distances instead of by heap pop order.
         Default on — Eq. (1) costs are strictly positive, which the
         canonical walk requires, and the deterministic choice makes the
-        summary independent of adjacency insertion order *and*
-        bit-identical whether a closure was computed fresh or derived
-        from the batch engine's memoized base runs ("mehlhorn" runs
+        summary depend only on the closure distances, not on heap
+        tie-breaking or adjacency insertion order ("mehlhorn" runs
         ignore the flag; its unfold follows the Voronoi tree, which has
         no per-pair reconstruction step).
     """

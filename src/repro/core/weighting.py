@@ -131,10 +131,7 @@ class ExplanationWeighting:
         edge). The returned :class:`~repro.graph.csr.FrozenCosts`
         signature is the sorted override list — tasks with identical
         boosts (notably every λ=0 task) share a signature, which is what
-        lets the batch engine's closure cache cut across tasks. The same
-        list is declared as ``overrides`` so the cache's λ-aware partial
-        reuse can recombine base-cost runs with just the boosted edges
-        for tasks whose boost sets differ.
+        lets the batch engine's closure cache cut across tasks.
         """
         from repro.graph.csr import FrozenCosts
 
@@ -156,11 +153,7 @@ class ExplanationWeighting:
                         costs[slot] = value
                         overrides.append((slot, value))
         overrides.sort()
-        return FrozenCosts(
-            costs,
-            signature=tuple(overrides),
-            overrides=tuple(overrides),
-        )
+        return FrozenCosts(costs, signature=tuple(overrides))
 
     # ------------------------------------------------------------------
     def _compute_max_weight(self) -> float:

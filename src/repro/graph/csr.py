@@ -57,20 +57,11 @@ class FrozenCosts:
     signature is given, a fresh sentinel is substituted so a
     directly-constructed instance can never alias another cost surface
     in a cache; only producers that *know* two surfaces coincide (like
-    the weighting's override list) pass an explicit shared signature.
-
-    ``overrides``, when not None, asserts structure on top of identity:
-    ``slots`` equals the all-ones unit table patched with exactly these
-    sorted ``(slot, value)`` pairs. Producers that build costs that way
-    (the Eq. 1 weighting) declare it so the batch engine's λ-aware
-    partial reuse can recombine cached base-cost runs with the per-task
-    boosted edges instead of treating every boost set as a brand-new
-    cost surface.
+    the weighting's sorted boost list) pass an explicit shared signature.
     """
 
     slots: "list[float] | array"
     signature: tuple | None = None
-    overrides: "tuple[tuple[int, float], ...] | None" = None
 
     def __post_init__(self) -> None:
         if self.signature is None:
@@ -196,18 +187,6 @@ class FrozenGraph:
                 return slot
         return None
 
-    def slot_endpoints(self, slot: int) -> tuple[int, int]:
-        """``(source_index, target_index)`` of a directed slot.
-
-        The source is recovered by bisecting the offsets table, so this
-        is O(log |V|) — used to interpret per-slot cost overrides, never
-        in traversal inner loops.
-        """
-        from bisect import bisect_right
-
-        source = bisect_right(self.offsets, slot) - 1
-        return source, self.targets[slot]
-
     def string_ranks(self) -> list[int]:
         """``rank[i]`` = position of ``ids[i]`` in sorted id order.
 
@@ -255,10 +234,9 @@ class FrozenGraph:
     def shared_unit_costs(self) -> list[float]:
         """The cached all-ones cost table (shared — do NOT mutate).
 
-        The PCST growth and the batch engine's base-cost runs traverse
-        with pure unit costs on every task; sharing one table avoids an
-        O(|E|) copy per task. Callers that patch entries must use
-        :meth:`unit_costs` instead.
+        The PCST growth traverses with pure unit costs on every task;
+        sharing one table avoids an O(|E|) copy per task. Callers that
+        patch entries must use :meth:`unit_costs` instead.
         """
         if self._unit is None:
             self._unit = [1.0] * len(self.targets)

@@ -254,8 +254,6 @@ def dijkstra_indexed(
     source: int,
     costs=None,
     targets: set[int] | None = None,
-    radius: float | None = None,
-    cover_targets: bool = False,
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Single-source shortest paths over the CSR view, by dense index.
 
@@ -275,20 +273,6 @@ def dijkstra_indexed(
         Optional early-exit set of dense indices; indices outside
         ``[0, num_nodes)`` are allowed and simply never settle, matching
         the dict variant's behaviour for unknown target ids.
-    radius:
-        Optional settle bound: stop before settling any node whose
-        distance exceeds ``radius``. The result is then *complete
-        through* ``radius`` — every node at distance <= ``radius`` is
-        settled with its exact distance. The batch engine's λ-aware
-        reuse runs its per-hub base Dijkstras under this bound instead
-        of settling whole components.
-    cover_targets:
-        With ``targets``: instead of stopping the moment the last
-        target settles, finish that distance tier (equivalent to
-        ``radius = max target distance``, discovered on the fly). The
-        result is complete through the farthest requested target, which
-        is what lets one run double as both a closure source and a
-        radius bound for sibling runs.
 
     Returns
     -------
@@ -304,7 +288,6 @@ def dijkstra_indexed(
     remaining = set(targets) if targets else None
     if remaining is not None:
         remaining.discard(source)
-    cutoff = radius
     offsets, edge_targets, _ = frozen.traversal_tables()
 
     # The binary heap is inlined (it is the whole cost of this loop):
@@ -323,8 +306,6 @@ def dijkstra_indexed(
     while keys:
         node = keys[0]
         d = prios[0]
-        if cutoff is not None and d > cutoff:
-            break
         last_prio = prios.pop()
         last_key = keys.pop()
         heap_slot[node] = -1
@@ -354,12 +335,7 @@ def dijkstra_indexed(
         if remaining is not None:
             remaining.discard(node)
             if not remaining:
-                if not cover_targets:
-                    break
-                # Finish the current distance tier so the result is
-                # complete through the farthest target's distance.
-                remaining = None
-                cutoff = d if cutoff is None else min(cutoff, d)
+                break
         # zip over row slices, not range-indexing: a range boxes a fresh
         # int per slot while slices of the pre-boxed traversal lists do
         # not, which is both slightly faster and far cheaper under

@@ -55,19 +55,19 @@ def canonical_shortest_path(
     lexicographically smallest neighbor whose distance plus edge cost
     equals the node's distance exactly. The choice depends only on the
     distance surface, never on heap pop order — so the dict engine, the
-    CSR engine, and closures *derived* from memoized base runs (the
-    batch engine's λ-aware reuse) all reconstruct the same path, and so
-    does any adjacency insertion order. Requires strictly positive
-    costs (every true predecessor then settles strictly earlier, hence
-    appears in ``dist`` even for early-exit runs).
+    CSR engine, a cached or shared-store closure, and a graph rebuilt
+    with a different adjacency insertion order (say, one reloaded
+    through the sorting :mod:`repro.graph.io` codec) all reconstruct
+    the same path. Requires strictly positive costs (every true
+    predecessor then settles strictly earlier, hence appears in
+    ``dist`` even for early-exit runs).
 
-    ``dist`` is any mapping with ``.get`` — a plain settled-distance
-    dict, or the batch engine's lazy overlay-distance view. ``prev`` is
-    the producing run's own predecessor map, used as a fallback: if no
-    neighbor reproduces the stored distance bit-exactly (distances
-    whose floating-point fold order differs from the edge-by-edge walk
-    can miss equality by an ulp), the remainder of the path follows the
-    run's recorded tree instead of failing.
+    ``dist`` is the run's settled-distance mapping (anything with
+    ``.get``). ``prev`` is the producing run's own predecessor map,
+    used as a fallback: if no neighbor reproduces the stored distance
+    bit-exactly (a cost function whose value differs in the last ulp
+    from the per-slot cost the run used would miss equality), the path
+    follows the run's recorded tree instead of failing.
     """
     dist_get = dist.get
     nodes = [target]
@@ -89,9 +89,8 @@ def canonical_shortest_path(
                     best = neighbor
         if best is None:
             # Ulp guard: fall back to the run's own predecessor chain.
-            # Restart from the target — derived closures only record
-            # chains for the requested targets, and the canonical walk
-            # may already have stepped off them.
+            # Restart from the target, so the fallback path is the run's
+            # recorded path end to end rather than a splice of two rules.
             nodes = [target]
             node = target
             while node != source:
@@ -168,10 +167,9 @@ def steiner_tree(
         (deterministic min-id predecessor choice from final distances)
         instead of the producing run's heap-order predecessor chains.
         Requires strictly positive costs. This makes the unfolded tree
-        independent of heap tie-breaking — the same for both engines,
-        for any adjacency insertion order, and for closures the batch
-        engine derives from memoized base runs, which is what lets
-        λ-aware partial reuse default on without changing outputs.
+        independent of heap tie-breaking — the same for both engines
+        and for any adjacency insertion order, so only the distances a
+        closure run settles decide the summary.
     """
     unique_terminals = list(dict.fromkeys(terminals))
     if not unique_terminals:

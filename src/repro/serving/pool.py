@@ -99,16 +99,15 @@ def _init_worker_state(handle, cache_config: tuple) -> None:
     """Attach the shared graph (and closure store); import plugins.
 
     ``cache_config`` is the worker-config tuple ``(closure_size,
-    partial_reuse[, store_handle, plugin_modules, trace])`` — the
-    two-element legacy form still works (no store, no plugins, no
-    tracing). The store handle carries live ``multiprocessing`` locks,
-    which only travel through process inheritance — exactly this init
-    path. Plugin modules are imported *before* any task runs, so
-    runtime-registered methods exist in the registry by the time the
-    first summarizer is built; an import failure propagates, failing
-    worker init loudly (the session then demotes to a local run)
-    instead of silently mis-routing. A truthy ``trace`` tail element
-    flips the worker's ambient span recorder on (see
+    store_handle, plugin_modules, trace)`` built by the session. The
+    store handle (None with the store off) carries live
+    ``multiprocessing`` locks, which only travel through process
+    inheritance — exactly this init path. Plugin modules are imported
+    *before* any task runs, so runtime-registered methods exist in the
+    registry by the time the first summarizer is built; an import
+    failure propagates, failing worker init loudly (the session then
+    demotes to a local run) instead of silently mis-routing. A truthy
+    ``trace`` flips the worker's ambient span recorder on (see
     :mod:`repro.obs.trace`), so compute/encode/store spans ride back
     through the result pipe's stat-delta dict.
     """
@@ -116,9 +115,7 @@ def _init_worker_state(handle, cache_config: tuple) -> None:
 
     from repro.graph.shared import attach_knowledge_graph
 
-    size, partial_reuse, store_handle, plugin_modules, trace_on = (
-        tuple(cache_config) + (None, (), False)
-    )[:5]
+    size, store_handle, plugin_modules, trace_on = cache_config
     for module in plugin_modules:
         importlib.import_module(module)
     if trace_on:
@@ -128,7 +125,7 @@ def _init_worker_state(handle, cache_config: tuple) -> None:
     graph = attach_knowledge_graph(handle)
     _WORKER["graph"] = graph
     _WORKER["frozen"] = graph.freeze()
-    _WORKER["cache_config"] = (size, partial_reuse)
+    _WORKER["closure_size"] = size
     _WORKER["cache"] = None
     _WORKER["summarizers"] = {}
     _WORKER["store"] = None
@@ -151,20 +148,16 @@ def _worker_summarizer(name: str, config):
         if spec.uses_closure_cache:
             cache = _WORKER["cache"]
             if cache is None:
-                size, partial_reuse = _WORKER["cache_config"]
+                size = _WORKER["closure_size"]
                 store = _WORKER.get("store")
                 if store is not None:
                     from repro.cache.readthrough import (
                         StoreBackedClosureCache,
                     )
 
-                    cache = StoreBackedClosureCache(
-                        size, partial_reuse=partial_reuse, store=store
-                    )
+                    cache = StoreBackedClosureCache(size, store=store)
                 else:
-                    cache = TerminalClosureCache(
-                        size, partial_reuse=partial_reuse
-                    )
+                    cache = TerminalClosureCache(size)
                 _WORKER["cache"] = cache
         summarizer = spec.build(_WORKER["graph"], config, cache)
         _WORKER["summarizers"][key] = summarizer
@@ -254,10 +247,10 @@ class ElasticWorkerPool:
         Picklable :class:`~repro.graph.shared.SharedGraphHandle` the
         workers attach.
     cache_config:
-        Worker-config tuple ``(closure_size, partial_reuse[,
-        store_handle, plugin_modules])`` for each worker's own cache —
-        the optional tail attaches the shared closure store and imports
-        method plugins (see :func:`_init_worker_state`).
+        Worker-config tuple ``(closure_size, store_handle,
+        plugin_modules, trace)`` for each worker's own cache, shared
+        closure store, method plugins and span recorder (see
+        :func:`_init_worker_state`).
     config:
         The :class:`SchedulerConfig` sizing/pressure knobs.
     initial_workers:

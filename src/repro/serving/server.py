@@ -117,6 +117,10 @@ _QUEUE_WAIT_SECONDS = get_registry().histogram(
     buckets=exponential_buckets(start=0.0001, count=14),
 )
 
+#: How long ``stop()`` waits for connection handlers to return after
+#: hanging up on them; idle ones return within a loop iteration.
+_CLIENT_CLOSE_GRACE_SECONDS = 1.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -293,6 +297,9 @@ class ExplanationServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._draining = False
+        #: Open connections (handler task -> its writer), so ``stop()``
+        #: can hang up on them and let each handler return on its own.
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._stop_requested = threading.Event()
         self._started_at: float | None = None
         self.port: int | None = None
@@ -381,6 +388,7 @@ class ExplanationServer:
             self._reaper = None
         if self._server is not None:
             self._server.close()
+            await self._close_clients()
             await self._server.wait_closed()
             self._server = None
         loop = asyncio.get_running_loop()
@@ -389,6 +397,22 @@ class ExplanationServer:
         for store in self._journals.values():
             store.close()  # flush to stable storage (idempotent)
         return drained
+
+    async def _close_clients(self) -> None:
+        """Hang up on every open connection and wait for its handler.
+
+        Closing a transport ends its handler's pending frame read, so
+        an idle handler returns normally. A handler left running when
+        the event loop ends is cancelled instead, and asyncio.streams
+        then logs an "Exception in callback ... CancelledError"
+        traceback for it. A handler still computing is given a short
+        grace period, not an unbounded wait.
+        """
+        handlers = list(self._clients)
+        for writer in self._clients.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=_CLIENT_CLOSE_GRACE_SECONDS)
 
     def _abort(self) -> None:
         """The in-process stand-in for ``kill -9``.
@@ -448,6 +472,8 @@ class ExplanationServer:
         admitted = not limit or self.connections_now < limit
         if admitted:
             self.connections_now += 1
+        handler = asyncio.current_task()
+        self._clients[handler] = writer
         try:
             if not admitted:
                 # One typed frame telling the peer why, then hang up —
@@ -487,6 +513,7 @@ class ExplanationServer:
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             pass  # peer vanished / went mute mid-exchange
         finally:
+            self._clients.pop(handler, None)
             if admitted:
                 self.connections_now -= 1
             writer.close()

@@ -221,9 +221,9 @@ class TestWarmResources:
         with ExplanationSession(graph) as session:
             first = session.run(tasks)
             second = session.run(tasks)
-        assert first.cache_misses > 0 or first.cache_patched > 0
+        assert first.cache_misses > 0
         # Warm run: every closure request is a cache hit.
-        assert second.cache_misses == 0 and second.cache_patched == 0
+        assert second.cache_misses == 0
         assert second.cache_hits > 0
         assert session.stats.freezes == 1
 

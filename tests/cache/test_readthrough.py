@@ -102,43 +102,6 @@ class TestClosureReadThrough:
             )
             assert wide <= dist.keys()  # correctness regardless of path
 
-
-class TestBaseRunReadThrough:
-    def test_base_runs_travel_between_caches(self):
-        frozen = small_graph().freeze()
-        with make_store() as store:
-            writer = StoreBackedClosureCache(
-                64, partial_reuse=True, store=store
-            )
-            d1, p1 = writer._base_run(frozen, frozen.index_of("u:0"))
-            assert writer.base_misses == 1
-            reader = StoreBackedClosureCache(
-                64, partial_reuse=True, store=store
-            )
-            d2, p2 = reader._base_run(frozen, frozen.index_of("u:0"))
-            assert reader.store_hits == 1
-            assert reader.base_hits == 1
-            assert d2 == d1 and p2 == p1
-            assert list(d2) == list(d1)
-
-    def test_fetch_respects_covering_check(self):
-        frozen = small_graph().freeze()
-        with make_store() as store:
-            writer = StoreBackedClosureCache(
-                64, partial_reuse=True, store=store
-            )
-            index = frozen.index_of("u:0")
-            # Publish a radius-bounded run...
-            writer._base_run(frozen, index, radius=1.0)
-            reader = StoreBackedClosureCache(
-                64, partial_reuse=True, store=store
-            )
-            # ...then ask for the whole component: the bounded entry
-            # fails the covering check and a fresh run replaces it.
-            full, _ = reader._base_run(frozen, index)
-            assert reader.store_misses >= 1
-            assert len(full) == len(frozen.ids)
-
     def test_store_degrades_after_teardown(self):
         """A torn-down store mid-flight degrades to local compute."""
         frozen = small_graph().freeze()

@@ -66,7 +66,7 @@ def shared_tasks(graph: KnowledgeGraph, count: int) -> list[SummaryTask]:
 
 
 def boosted_tasks(graph: KnowledgeGraph, count: int) -> list[SummaryTask]:
-    """Tasks whose boost paths exercise λ-aware partial reuse."""
+    """λ>0 tasks with boost paths: per-task cost signatures."""
     users = sorted(n for n in graph.nodes() if n.startswith("u:"))
     tasks = []
     for i in range(count):

@@ -9,11 +9,7 @@ import sys
 import pytest
 
 from repro.cache import ClosureStoreConfig, SharedClosureStore
-from repro.cache.store import (
-    base_store_key,
-    closure_store_key,
-    store_digest,
-)
+from repro.cache.store import closure_store_key, store_digest
 
 
 def make_store(**overrides) -> SharedClosureStore:
@@ -184,21 +180,14 @@ class TestCanonicalKeys:
             4, "u:0", (("i:1", 2.5), ("i:2", 1), True, None)
         )
 
-    def test_base_keys_distinguish_versions_and_indices(self):
-        keys = {
-            base_store_key(v, i) for v in (1, 2) for i in (0, 1, 7)
-        }
-        assert len(keys) == 6
-
     @pytest.mark.parametrize("seed", ["0", "1", "424242"])
     def test_digests_independent_of_hash_seed(self, seed):
         """Spawn workers inherit no hash seed; digests must not care."""
         script = (
             "from repro.cache.store import closure_store_key, "
-            "base_store_key, store_digest\n"
+            "store_digest\n"
             "key = closure_store_key(7, 'u:3', (('i:1', 2.0), 'rel'))\n"
             "print(store_digest(key).hex())\n"
-            "print(store_digest(base_store_key(7, 11)).hex())\n"
         )
         env = dict(os.environ, PYTHONHASHSEED=seed)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -211,5 +200,4 @@ class TestCanonicalKeys:
             check=True,
         ).stdout.split()
         key = closure_store_key(7, "u:3", (("i:1", 2.0), "rel"))
-        assert out[0] == store_digest(key).hex()
-        assert out[1] == store_digest(base_store_key(7, 11)).hex()
+        assert out == [store_digest(key).hex()]

@@ -186,9 +186,9 @@ class TestReportAndCache:
             BatchSummarizer(test_bench.graph, workers=-1)
 
 
-class TestPartialReuse:
-    """λ-aware partial reuse: boosted closures derived from shared
-    base-cost runs, cutting across tasks with disjoint boost sets."""
+class TestDisjointBoosts:
+    """λ>0 tasks whose boost sets never coincide: every closure is a
+    fresh run, and the batch still equals the per-task facade."""
 
     @pytest.fixture()
     def boosted_workload(self):
@@ -224,124 +224,16 @@ class TestPartialReuse:
             )
         return graph, tasks
 
-    def test_base_runs_reused_across_disjoint_boosts(self, boosted_workload):
-        graph, tasks = boosted_workload
-        engine = BatchSummarizer(
-            graph, method="ST", lam=2.0, partial_reuse=True
-        )
-        report = engine.run(tasks)
-        # Every task's closures were derived by patching, and the
-        # memoized base runs were re-read more than once — the reuse
-        # the per-signature cache could never provide here.
-        assert report.cache_patched > 0
-        assert report.cache_base_hits > 1
-        assert "λ-aware reuse" in report.summary()
-        assert "base-run hits" in report.summary()
-
     def test_results_match_fresh_summarizer(self, boosted_workload):
         graph, tasks = boosted_workload
         fresh = [
             Summarizer(graph, method="ST", lam=2.0).summarize(task)
             for task in tasks
         ]
-        report = BatchSummarizer(
-            graph, method="ST", lam=2.0, partial_reuse=True
-        ).run(tasks)
+        report = BatchSummarizer(graph, method="ST", lam=2.0).run(tasks)
+        assert report.cache_hits == 0  # no two tasks share a signature
         for expected, result in zip(fresh, report.results):
             assert canonical(expected) == canonical(result.explanation)
-
-    def test_defaults_on_with_escape_hatch(self, boosted_workload):
-        """λ-aware reuse is the default (canonical-SPT makes it safe);
-        partial_reuse=False restores always-fresh boosted closures."""
-        graph, tasks = boosted_workload
-        report = BatchSummarizer(graph, method="ST", lam=2.0).run(tasks)
-        assert report.cache_patched > 0
-        cold = BatchSummarizer(
-            graph, method="ST", lam=2.0, partial_reuse=False
-        ).run(tasks)
-        assert cold.cache_patched == 0
-        for derived, fresh in zip(report.results, cold.results):
-            assert canonical(derived.explanation) == canonical(
-                fresh.explanation
-            )
-
-    def test_stale_base_runs_not_served_after_rebind(self, boosted_workload):
-        """Base entries are index-keyed, so a pairs fn bound to an old
-        frozen view must not read entries the cache stored for the new
-        view (the index -> node mapping changed)."""
-        from repro.core.batch import TerminalClosureCache
-        from repro.core.weighting import ExplanationWeighting
-
-        graph, tasks = boosted_workload
-        task = tasks[0]
-        cache = TerminalClosureCache(partial_reuse=True)
-        old_frozen = graph.freeze()
-        old_costs = ExplanationWeighting(
-            graph=graph, task=task, lam=2.0
-        ).slot_costs(old_frozen)
-        old_pairs = cache.pair_fn(old_frozen, old_costs)
-
-        graph.set_weight(task.terminals[0], task.terminals[1], 2.5)
-        new_frozen = graph.freeze()
-        new_costs = ExplanationWeighting(
-            graph=graph, task=task, lam=2.0
-        ).slot_costs(new_frozen)
-        # Rebind to the new view and warm its base runs.
-        new_pairs = cache.pair_fn(new_frozen, new_costs)
-        source, *rest = task.terminals
-        expected_new = new_pairs(source, set(rest))
-
-        # The stale closure must compute against its own view, not read
-        # the new view's base entries.
-        dist, _ = old_pairs(source, set(rest))
-        from repro.graph.shortest_paths import dijkstra_frozen
-
-        fresh_old, _ = dijkstra_frozen(
-            old_frozen, source, costs=old_costs, targets=set(rest)
-        )
-        for target in rest:
-            assert dist[target] == fresh_old[target]
-        # And the rebound cache still serves the new view correctly.
-        for target in rest:
-            assert expected_new[0][target] == new_pairs(
-                source, set(rest)
-            )[0][target]
-
-    def test_patched_distances_are_exact(self, boosted_workload):
-        """The derived closure's distances equal a fresh boosted run's
-        (the tie-tolerant core guarantee, independent of tree shape)."""
-        from repro.core.weighting import ExplanationWeighting
-        from repro.graph.shortest_paths import dijkstra_frozen
-
-        graph, tasks = boosted_workload
-        frozen = graph.freeze()
-        cache = TerminalClosureCache(partial_reuse=True)
-        for task in tasks:
-            weighting = ExplanationWeighting(
-                graph=graph, task=task, lam=2.0
-            )
-            costs = weighting.slot_costs(frozen)
-            assert costs.overrides  # λ>0 with paths: boosts exist
-            pairs = cache.pair_fn(frozen, costs)
-            source, *rest = task.terminals
-            dist, prev = pairs(source, set(rest))
-            fresh_dist, _ = dijkstra_frozen(
-                frozen, source, costs=costs, targets=set(rest)
-            )
-            for target in rest:
-                assert dist[target] == pytest.approx(
-                    fresh_dist[target], abs=1e-12
-                )
-                # And the recorded chain is a real path of that length.
-                walk = [target]
-                while walk[-1] != source:
-                    walk.append(prev[walk[-1]])
-                total = 0.0
-                for a, b in zip(walk, walk[1:]):
-                    assert graph.has_edge(a, b)
-                    total += weighting.cost(a, b, graph.weight(a, b))
-                assert total == pytest.approx(dist[target], abs=1e-12)
-        assert cache.patched > 0
 
 
 class TestProcessBackend:
@@ -404,7 +296,7 @@ class TestProcessBackend:
         assert all(r.seconds >= 0 for r in report.results)
         # Every task misses at least once somewhere (per-worker caches),
         # and the counters are aggregated across workers.
-        assert report.cache_misses + report.cache_patched > 0
+        assert report.cache_misses > 0
         assert "parallel=processes" in report.summary()
 
     def test_no_shared_memory_leak(self, test_bench, bench_tasks):

@@ -33,7 +33,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "average degree" in out
 
-    def test_batch_demo_engine_and_partial_reuse(self, capsys):
+    def test_batch_demo_csr_engine(self, capsys):
         assert (
             main(
                 [
@@ -42,7 +42,6 @@ class TestCLI:
                     "--demo", "6",
                     "--method", "ST",
                     "--engine", "csr",
-                    "--partial-reuse",
                 ]
             )
             == 0
@@ -73,31 +72,6 @@ class TestCLI:
     def test_batch_rejects_unknown_parallel_backend(self):
         with pytest.raises(SystemExit):
             main(["batch", "--demo", "2", "--parallel", "gpu"])
-
-    def test_batch_no_partial_reuse_escape_hatch(self, capsys):
-        """--partial-reuse is the default; --no-partial-reuse opts out
-        and is accepted (as a no-op) for non-ST methods too."""
-        assert (
-            main(
-                [
-                    "batch", "--demo", "2", "--scale", "test",
-                    "--method", "ST", "--no-partial-reuse",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "batch", "--demo", "2", "--scale", "test",
-                    "--method", "PCST", "--partial-reuse",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "batch method=PCST tasks=2" in out
 
     def test_batch_explicit_serial_backend(self, capsys):
         assert (

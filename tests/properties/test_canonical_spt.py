@@ -1,15 +1,13 @@
-"""Canonical-SPT determinism and λ-aware reuse parity.
-
-The contracts that let ``partial_reuse`` default on in the batch
-engine:
+"""Canonical-SPT determinism and batch-vs-cold parity.
 
 - canonical path reconstruction picks the same tree regardless of heap
   tie-breaking — so the dict engine, the CSR engine, and any adjacency
   insertion order agree;
-- closures *derived* from memoized base runs produce bit-identical
-  summaries to cold runs;
-- the serial, thread and process backends of :class:`BatchSummarizer`
-  return bit-identical reports for the same workload.
+- a session batch over λ>0 tasks with disjoint boost sets produces
+  bit-identical summaries to cold per-task runs;
+- the serial, thread and process backends of
+  :class:`~repro.api.ExplanationSession` return bit-identical reports
+  for the same workload.
 """
 
 import random
@@ -17,12 +15,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchSummarizer
+from repro.api import EngineConfig, ExplanationSession, ParallelConfig
 from repro.core.scenarios import Scenario, SummaryTask
 from repro.core.summarizer import Summarizer
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.paths import Path
-from repro.graph.shortest_paths import dijkstra_indexed
 
 
 def canonical(explanation):
@@ -103,8 +100,8 @@ class TestCanonicalTieBreaking:
 @pytest.fixture(scope="module")
 def boosted_workload():
     """λ>0 tasks with pairwise-disjoint boost sets over a shared graph
-    (each task boosts its own user's rating edges), the workload where
-    partial reuse derives every closure from shared base runs."""
+    (each task boosts its own user's rating edges), so no two tasks
+    share a cost signature."""
     rng = np.random.default_rng(23)
     graph = KnowledgeGraph()
     num_users, num_items = 10, 18
@@ -132,28 +129,34 @@ def boosted_workload():
     return graph, tasks
 
 
-class TestPartialReuseParity:
-    def test_derived_closures_match_cold_runs_bit_for_bit(
-        self, boosted_workload
-    ):
-        """The acceptance pin: default batch (partial reuse on) equals a
-        cold per-task Summarizer exactly, and actually derived."""
+def _run(graph, tasks, lam, backend="serial"):
+    """One session batch of ST over ``tasks`` on the given backend."""
+    with ExplanationSession(
+        graph,
+        engine=EngineConfig(lam=lam),
+        parallel=ParallelConfig(backend=backend, workers=2),
+        default_method="st",
+    ) as session:
+        return session.run(tasks)
+
+
+class TestBatchParity:
+    def test_batch_matches_cold_runs_bit_for_bit(self, boosted_workload):
+        """The acceptance pin: a default session batch equals a cold
+        per-task Summarizer exactly."""
         graph, tasks = boosted_workload
         cold = [
             Summarizer(graph, method="ST", lam=2.0).summarize(task)
             for task in tasks
         ]
-        report = BatchSummarizer(graph, method="ST", lam=2.0).run(tasks)
-        assert report.cache_patched > 0  # closures were derived, not fresh
+        report = _run(graph, tasks, 2.0)
         for expected, result in zip(cold, report.results):
             assert canonical(expected) == canonical(result.explanation)
 
     def test_backends_agree_bit_for_bit(self, boosted_workload):
         graph, tasks = boosted_workload
         reports = [
-            BatchSummarizer(
-                graph, method="ST", lam=2.0, parallel=backend, workers=2
-            ).run(tasks)
+            _run(graph, tasks, 2.0, backend)
             for backend in ("serial", "threads", "processes")
         ]
         assert reports[2].parallel == "processes"
@@ -164,52 +167,13 @@ class TestPartialReuseParity:
         assert keys[0] == keys[1] == keys[2]
 
     def test_lambda_sweep_stays_exact(self, boosted_workload):
-        """Across the paper's λ sweep, derived == cold for every task."""
+        """Across the paper's λ sweep, batch == cold for every task."""
         graph, tasks = boosted_workload
         for lam in (0.01, 1.0, 100.0):
             cold = [
                 Summarizer(graph, method="ST", lam=lam).summarize(task)
                 for task in tasks
             ]
-            report = BatchSummarizer(graph, method="ST", lam=lam).run(tasks)
+            report = _run(graph, tasks, lam)
             for expected, result in zip(cold, report.results):
                 assert canonical(expected) == canonical(result.explanation)
-
-
-class TestBoundedBaseRuns:
-    def test_radius_bounded_run_is_complete_through_radius(self):
-        graph = KnowledgeGraph.from_edges(
-            [("u:%d" % (i % 5), "i:%d" % i, 1.0) for i in range(15)]
-            + [("i:%d" % i, "e:g:%d" % (i % 2), 0.0, "g") for i in range(15)]
-        )
-        frozen = graph.freeze()
-        unit = frozen.shared_unit_costs()
-        full_dist, full_prev = dijkstra_indexed(frozen, 0, costs=unit)
-        for radius in (0.0, 1.0, 2.0, 3.0):
-            dist, prev = dijkstra_indexed(
-                frozen, 0, costs=unit, radius=radius
-            )
-            expected = {n: d for n, d in full_dist.items() if d <= radius}
-            assert dist == expected
-            assert prev == {n: full_prev[n] for n in expected if n != 0}
-
-    def test_cover_targets_finishes_the_tier(self):
-        graph = KnowledgeGraph.from_edges(
-            [("u:%d" % (i % 5), "i:%d" % i, 1.0) for i in range(15)]
-            + [("i:%d" % i, "e:g:%d" % (i % 2), 0.0, "g") for i in range(15)]
-        )
-        frozen = graph.freeze()
-        unit = frozen.shared_unit_costs()
-        full_dist, _ = dijkstra_indexed(frozen, 0, costs=unit)
-        target = max(full_dist, key=full_dist.get)
-        plain, _ = dijkstra_indexed(
-            frozen, 0, costs=unit, targets={target}
-        )
-        covered, _ = dijkstra_indexed(
-            frozen, 0, costs=unit, targets={target}, cover_targets=True
-        )
-        bound = full_dist[target]
-        assert covered == {
-            n: d for n, d in full_dist.items() if d <= bound
-        }
-        assert set(plain) <= set(covered)

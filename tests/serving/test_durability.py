@@ -191,3 +191,25 @@ class TestSigtermDrain:
         finally:
             proc.kill()
             proc.wait(timeout=30)
+
+    def test_idle_connections_close_without_tracebacks(self, tmp_path):
+        """Connections still open at SIGTERM are hung up on by the
+        drain, not cancelled under asyncio's teardown (which logged one
+        "Exception in callback" traceback per connection)."""
+        proc, port = start_server(tmp_path)
+        try:
+            with ExplanationClient("127.0.0.1", port) as first:
+                with ExplanationClient("127.0.0.1", port) as second:
+                    # One round trip each: both handlers are now idle,
+                    # parked on their next frame read.
+                    assert first.ping() and second.ping()
+                    proc.send_signal(15)
+                    exit_code = proc.wait(timeout=30)
+            output = proc.stdout.read()
+            assert exit_code == 0, output
+            assert "server stopped" in output
+            assert "Traceback" not in output, output
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()

@@ -253,6 +253,21 @@ class TestReportCodec:
         assert decoded.explanation.task == result.task
         assert decoded.seconds == result.seconds
 
+    def test_v1_derived_closure_counters_still_decode(self, sample_report):
+        """Reports from peers that still derived closures carry nonzero
+        ``cache_patched``/``cache_base_*`` counters: they decode
+        verbatim, while reports built here always encode them as 0."""
+        names = ("cache_patched", "cache_base_hits", "cache_base_misses")
+        encoded = sample_report.to_dict()
+        assert [encoded[name] for name in names] == [0, 0, 0]
+        legacy = dict(encoded, cache_patched=12, cache_base_hits=30)
+        legacy["cache_base_misses"] = 9
+        decoded = BatchReport.from_dict(through_json(legacy))
+        assert [getattr(decoded, name) for name in names] == [12, 30, 9]
+        assert decoded.cache_hits == sample_report.cache_hits
+        assert decoded.cache_misses == sample_report.cache_misses
+        assert len(decoded.results) == len(sample_report.results)
+
     def test_missing_counter_is_rejected(self, sample_report):
         data = sample_report.to_dict()
         del data["cache_base_hits"]
