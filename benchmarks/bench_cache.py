@@ -45,7 +45,6 @@ from repro.api import (  # noqa: E402
     ClosureStoreConfig,
     ExplanationSession,
     ParallelConfig,
-    SchedulerConfig,
 )
 from repro.core.scenarios import Scenario, SummaryTask  # noqa: E402
 from repro.graph.generators import (  # noqa: E402
@@ -146,7 +145,6 @@ def run_leg(graph, tasks, *, store, workers: int) -> dict:
     session = ExplanationSession(
         graph,
         parallel=ParallelConfig(backend="processes", workers=workers),
-        scheduler=SchedulerConfig(mode="work-stealing"),
         store=store,
     )
     with session:

@@ -47,7 +47,6 @@ from repro.api import (  # noqa: E402
     ExplanationSession,
     ObservabilityConfig,
     ParallelConfig,
-    SchedulerConfig,
 )
 from repro.core.scenarios import Scenario, SummaryTask  # noqa: E402
 from repro.graph.generators import (  # noqa: E402
@@ -111,7 +110,6 @@ def run_leg(
     session = ExplanationSession(
         graph,
         parallel=ParallelConfig(backend="processes", workers=workers),
-        scheduler=SchedulerConfig(mode="work-stealing"),
         obs=obs,
     )
     timings = []

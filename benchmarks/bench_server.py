@@ -8,26 +8,20 @@ for completions (a closed loop would let a slow server throttle its
 own load and flatter its tail latencies). Per-request latencies
 aggregate into p50/p95/p99, swept over several offered rates to map
 the saturation knee into the repo-root ``BENCH_server.json``
-trajectory artifact (joining ``BENCH_batch.json`` /
-``BENCH_serving.json``).
+trajectory artifact.
 
-Also measures time-to-first-streamed-result for a batch under the
-work-stealing scheduler vs the chunked baseline — the serving tier's
-headline: the first ``result`` frame leaves the server while the rest
-of the batch is still computing.
+Per-task stream framing over TCP is pinned by the test suite
+(``tests/serving/test_server.py::TestStreaming``), not here.
 
 Not a pytest module (the ``bench_`` prefix keeps it out of
 collection); run it directly::
 
     PYTHONPATH=src python benchmarks/bench_server.py
     PYTHONPATH=src python benchmarks/bench_server.py \\
-        --rates 4 --requests 40 --assert-zero-drops \\
-        --assert-stream-beats-chunked        # the CI server-job gate
+        --rates 4 --requests 40 --assert-zero-drops  # the CI server-job gate
 
 By default the harness self-hosts a server on an ephemeral port;
-``--connect HOST:PORT`` points it at an external one instead (the
-stream comparison is skipped there — it needs to own the scheduler
-config).
+``--connect HOST:PORT`` points it at an external one instead.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.api import ParallelConfig, SchedulerConfig, SummaryRequest  # noqa: E402
+from repro.api import SummaryRequest  # noqa: E402
 from repro.core.scenarios import Scenario  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.workbench import Workbench  # noqa: E402
@@ -153,44 +147,6 @@ def run_open_loop(
     }
 
 
-def first_streamed_ms(graph, requests, mode: str, repeats: int = 3) -> float:
-    """Time to the first streamed result frame under ``mode``.
-
-    The structural gap this measures: the chunked scheduler cannot emit
-    its first ``result`` frame until an entire static chunk
-    (``chunk_size`` tasks) has finished, while work-stealing dispatches
-    per task and frames the very first completion. Pinning
-    ``chunk_size`` to half the batch makes that gap a property of the
-    schedulers rather than of cache state or task skew. Best of
-    ``repeats``, each against a fresh server; the minimum is the
-    noise-robust statistic for what the scheduler *can* deliver.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        server = ExplanationServer(
-            graph,
-            parallel=ParallelConfig(
-                backend="threads",
-                workers=2,
-                chunk_size=max(1, len(requests) // 2),
-            ),
-            scheduler=SchedulerConfig(mode=mode),
-        )
-        with ServerThread(server) as thread:
-            with ExplanationClient("127.0.0.1", thread.port) as client:
-                # Connection + session warm-up (freeze, summarizer
-                # construction, closure caches) off the clock so the
-                # measured window is dispatch + compute, not setup.
-                client.explain(requests[-1])
-                start = time.perf_counter()
-                stream = client.stream(requests)
-                next(stream)
-                best = min(best, time.perf_counter() - start)
-                for _ in stream:
-                    pass
-    return best * 1000.0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -235,12 +191,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="CI gate: fail if any request errored (dropped frames)",
     )
-    parser.add_argument(
-        "--assert-stream-beats-chunked",
-        action="store_true",
-        help="CI gate: fail unless the first streamed result under "
-        "work-stealing lands before the chunked-scheduler baseline",
-    )
     args = parser.parse_args(argv)
 
     bench = Workbench.get(ExperimentConfig.test_scale())
@@ -278,37 +228,6 @@ def main(argv=None) -> int:
         if server_thread is not None:
             server_thread.stop()
 
-    stream = {}
-    if not args.connect:
-        # Heavy-first workload: the straggler lands in the first static
-        # chunk. With chunk_size pinned to half the batch, chunked's
-        # first frame waits for a whole chunk while work-stealing
-        # frames its first singleton completion.
-        heavies = [
-            SummaryRequest(task=task)
-            for task in bench.tasks(Scenario.USER_GROUP, "PGPR", 4).values()
-        ]
-        singles = [
-            SummaryRequest(task=task)
-            for task in bench.tasks(Scenario.USER_CENTRIC, "PGPR", 3).values()
-        ]
-        stream_requests = heavies[:1] + [
-            singles[i % len(singles)] for i in range(15)
-        ]
-        stealing = first_streamed_ms(
-            bench.graph, stream_requests, "work-stealing"
-        )
-        chunked = first_streamed_ms(bench.graph, stream_requests, "chunked")
-        stream = {
-            "tasks": len(stream_requests),
-            "stealing_first_result_ms": stealing,
-            "chunked_first_result_ms": chunked,
-        }
-        print(
-            f"first streamed result: work-stealing {stealing:.2f} ms, "
-            f"chunked {chunked:.2f} ms"
-        )
-
     artifact = {
         "schema": "bench-server/v1",
         "cpu_count": os.cpu_count(),
@@ -318,7 +237,6 @@ def main(argv=None) -> int:
         "requests_per_rate": args.requests,
         "max_pending": args.max_pending,
         "sweep": sweep,
-        "stream": stream,
     }
     Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n")
     print(f"wrote {args.out}")
@@ -335,15 +253,6 @@ def main(argv=None) -> int:
         ]
         if short:
             failures.append(f"unaccounted requests at rates {short}")
-    if args.assert_stream_beats_chunked and stream:
-        if not (
-            stream["stealing_first_result_ms"]
-            < stream["chunked_first_result_ms"]
-        ):
-            failures.append(
-                "first streamed result did not beat the chunked baseline: "
-                f"{stream}"
-            )
     for failure in failures:
         print(f"GATE FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

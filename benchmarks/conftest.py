@@ -2,20 +2,18 @@
 
 All figure benches share one CI-scale workbench (summaries are cached in
 it, so Figs 2-8 cost one summary pass total). Each bench prints the
-series it regenerates and mirrors them into ``benchmarks/results/`` so
-the output survives pytest's capture.
+series it regenerates and mirrors them into ``.perfbench-work/tier1/``
+(git-ignored) so the output survives pytest's capture.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
+
+from reporting import artifact_path
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workbench import Workbench
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
@@ -36,13 +34,12 @@ def lfm_bench(ci_config) -> Workbench:
 
 @pytest.fixture(scope="session")
 def emit():
-    """Print a report and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Print a report and persist it under ``.perfbench-work/tier1/``."""
 
     def _emit(name: str, text: str) -> None:
         print()
         print(text)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        artifact_path(f"{name}.txt").write_text(text + "\n")
 
     return _emit
 

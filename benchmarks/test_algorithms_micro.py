@@ -1,20 +1,21 @@
 """Micro-benchmarks of the two summarization kernels (honest multi-round
 pytest-benchmark timing, unlike the one-shot figure reproductions), plus
 the CSR engine benchmarks: dict vs frozen Dijkstra / Mehlhorn / PCST on
-synthetic graphs — emitting the machine-readable
-``results/BENCH_engine.json`` perf-trajectory artifact and asserting the
-indexed Mehlhorn and PCST speedups (>= 1.3x on the 10k-node graph) —
-and batch vs per-task summarization throughput over 100+ tasks (the
-freeze-then-batch acceptance gate)."""
+synthetic graphs — emitting the machine-readable ``BENCH_engine.json``
+perf-trajectory artifact (under ``.perfbench-work/tier1/``, git-ignored)
+and asserting the indexed Mehlhorn and PCST speedups (>= 1.3x on the
+10k-node graph) — and batch vs per-task summarization throughput over
+100+ tasks (the freeze-then-batch acceptance gate)."""
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchSummarizer
+from reporting import artifact_path
+
+from repro.api import ExplanationSession
 from repro.core.scenarios import Scenario, SummaryTask
 from repro.core.summarizer import Summarizer
 from repro.graph.generators import SyntheticSpec, generate_random_kg
@@ -27,10 +28,6 @@ from repro.graph.shortest_paths import (
 )
 from repro.graph.steiner import steiner_tree
 from repro.graph.types import NodeType
-
-# Mirrors conftest.RESULTS_DIR without importing conftest (a bare
-# conftest import breaks whole-repo collection runs).
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +253,7 @@ def test_engine_speedups_artifact(emit):
         "results": rows,
         "speedups_10k": speedups_10k,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_engine.json").write_text(
+    artifact_path("BENCH_engine.json").write_text(
         json.dumps(artifact, indent=2) + "\n"
     )
     emit(
@@ -270,7 +266,7 @@ def test_engine_speedups_artifact(emit):
                     f"  {method:<9} {speedup:5.2f}x"
                     for method, speedup in speedups_10k.items()
                 ),
-                "full trajectory in results/BENCH_engine.json",
+                "full trajectory in .perfbench-work/tier1/BENCH_engine.json",
             ]
         ),
     )
@@ -280,14 +276,14 @@ def test_engine_speedups_artifact(emit):
 
 
 def test_batch_vs_single_task_loop(synthetic_graph, batch_tasks, emit):
-    """The acceptance gate: BatchSummarizer beats the per-task loop."""
+    """The acceptance gate: a session batch beats the per-task loop."""
     single = Summarizer(synthetic_graph, method="ST")
     start = time.perf_counter()
     expected = [single.summarize(task) for task in batch_tasks]
     single_seconds = time.perf_counter() - start
 
-    engine = BatchSummarizer(synthetic_graph, method="ST")
-    report = engine.run(batch_tasks)
+    with ExplanationSession(synthetic_graph, default_method="ST") as session:
+        report = session.run(batch_tasks)
 
     for exp, result in zip(expected, report.results):
         assert sorted(exp.subgraph.nodes()) == sorted(

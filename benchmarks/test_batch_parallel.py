@@ -1,31 +1,30 @@
-"""Batch backend comparison: serial vs threads vs processes throughput.
+"""Batch backend comparison: serial vs processes throughput.
 
-Emits the repo-root ``BENCH_batch.json`` perf-trajectory artifact
-(ops/s by backend, worker count and graph size) so the parallel-scaling
-story is machine-readable across PRs, and gates the process backend's
-speedup over serial on the 10k-node / 64-task batch — the CI
-acceptance criterion for the shared-memory process pool. The gate only
-fires on multi-core machines (threads cannot beat the GIL and a
-process pool cannot beat physics on one core); the artifact records
-the core count so single-core trajectory points are self-describing.
+Emits the ``BENCH_batch.json`` perf-trajectory artifact (ops/s by
+backend, worker count and graph size; under ``.perfbench-work/tier1/``,
+git-ignored) so the parallel-scaling story is machine-readable, and
+gates the process backend's speedup over serial on the 10k-node /
+64-task batch — the CI acceptance criterion for the shared-memory
+process pool. The gate only fires on multi-core machines (a process
+pool cannot beat physics on one core); the artifact records the core
+count so single-core trajectory points are self-describing.
 """
 
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchSummarizer
+from reporting import artifact_path
+
+from repro.api import EngineConfig, ExplanationSession, ParallelConfig
 from repro.core.scenarios import Scenario, SummaryTask
 from repro.graph.generators import SyntheticSpec, generate_random_kg
 from repro.graph.paths import Path as GraphPath
 from repro.graph.shortest_paths import bfs_distances_indexed
 from repro.graph.types import NodeType
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 BENCH_SIZES = (2_500, 10_000)
 NUM_TASKS = 64
@@ -78,11 +77,16 @@ def _workload(num_nodes: int):
     return graph, tasks
 
 
-def _timed(graph, tasks, **kwargs):
+def _timed(graph, tasks, backend: str, workers: int = 0):
+    """One cold session batch, timed from construction through close."""
     start = time.perf_counter()
-    report = BatchSummarizer(graph, method="ST", lam=1.0, **kwargs).run(
-        tasks
-    )
+    with ExplanationSession(
+        graph,
+        engine=EngineConfig(lam=1.0),
+        parallel=ParallelConfig(backend=backend, workers=workers),
+        default_method="ST",
+    ) as session:
+        report = session.run(tasks)
     seconds = time.perf_counter() - start
     return report, seconds
 
@@ -94,25 +98,15 @@ def test_batch_parallel_artifact(emit):
     speedups_10k = {}
     for num_nodes in BENCH_SIZES:
         graph, tasks = _workload(num_nodes)
-        configs = [("serial", {"parallel": "serial"})]
-        if num_nodes == max(BENCH_SIZES):
+        configs = [("serial", {"backend": "serial"})]
+        if num_nodes == max(BENCH_SIZES) and pool_workers != 2:
             configs.append(
-                (
-                    f"threads[{pool_workers}]",
-                    {"parallel": "threads", "workers": pool_workers},
-                )
+                ("processes[2]", {"backend": "processes", "workers": 2})
             )
-            if pool_workers != 2:
-                configs.append(
-                    (
-                        "processes[2]",
-                        {"parallel": "processes", "workers": 2},
-                    )
-                )
         configs.append(
             (
                 f"processes[{pool_workers}]",
-                {"parallel": "processes", "workers": pool_workers},
+                {"backend": "processes", "workers": pool_workers},
             )
         )
         timings = {}
@@ -143,7 +137,7 @@ def test_batch_parallel_artifact(emit):
         "results": rows,
         "speedups_10k_vs_serial": speedups_10k,
     }
-    (REPO_ROOT / "BENCH_batch.json").write_text(
+    artifact_path("BENCH_batch.json").write_text(
         json.dumps(artifact, indent=2) + "\n"
     )
     emit(
@@ -156,7 +150,7 @@ def test_batch_parallel_artifact(emit):
                     f"{row['ops_per_sec']:8.1f} tasks/s"
                     for row in rows
                 ),
-                "trajectory in BENCH_batch.json (repo root)",
+                "trajectory in .perfbench-work/tier1/BENCH_batch.json",
             ]
         ),
     )

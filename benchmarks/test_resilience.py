@@ -18,17 +18,19 @@ lists, identical crash sites per seed — and the gates assert:
 - wall-clock degradation stays bounded (each crash costs at most a
   flush-grace + respawn + redo, far under a serial fallback).
 
-Refreshes the repo-root ``BENCH_resilience.json`` trajectory artifact
-(uploaded by the CI ``chaos`` job).
+Refreshes the ``BENCH_resilience.json`` trajectory artifact under
+``.perfbench-work/tier1/`` (git-ignored; uploaded by the CI ``chaos``
+job).
 """
 
 import json
 import os
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
+
+from reporting import artifact_path
 
 from repro.api import ExplanationSession, ParallelConfig, SchedulerConfig
 from repro.core.scenarios import Scenario, SummaryTask
@@ -39,7 +41,6 @@ from repro.graph.types import NodeType
 from repro.serving.config import ResilienceConfig
 from repro.serving.faults import FaultPlan
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 NUM_NODES = 10_000
 NUM_TASKS = 48
@@ -177,7 +178,7 @@ def test_resilience_degradation_artifact(emit):
         "per_crash_budget_seconds": PER_CRASH_BUDGET_SECONDS,
         "results": rows,
     }
-    (REPO_ROOT / "BENCH_resilience.json").write_text(
+    artifact_path("BENCH_resilience.json").write_text(
         json.dumps(artifact, indent=2) + "\n"
     )
     emit(

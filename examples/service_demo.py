@@ -10,8 +10,7 @@ per-task result streaming). Runs in a few seconds::
     python examples/service_demo.py
 
 This file is the deprecation canary: CI runs it under
-``-W error::DeprecationWarning``, so it must never touch the legacy
-``BatchSummarizer`` construction path.
+``-W error::DeprecationWarning``, so it must stay on supported API.
 """
 
 import time

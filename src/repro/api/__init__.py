@@ -7,8 +7,9 @@ The pieces:
   a warm process pool and the cross-task caches, all keyed by the
   graph's version counter.
 - :class:`EngineConfig` / :class:`CacheConfig` / :class:`ParallelConfig`
-  (:mod:`repro.api.config`) — the typed configs that replaced the
-  legacy constructors' scattered kwargs.
+  (:mod:`repro.api.config`) — the typed configs: per-task engine and
+  weighting, cross-task memoization, and the batch backend (serial or
+  processes).
 - :class:`SummaryRequest` (:mod:`repro.api.requests`) — one task plus
   method routing and per-request overrides.
 - :mod:`repro.api.registry` — the method routing table ("st",
@@ -25,8 +26,7 @@ The pieces:
   to a shared-memory slab with popularity-aware (TinyLFU) admission,
   so process-pool workers reuse each other's Dijkstra runs.
 - :class:`SchedulerConfig` (re-exported from :mod:`repro.serving`) —
-  the dispatch discipline: work-stealing with an elastic worker pool
-  and per-task streaming (default), or legacy static chunking.
+  the bounds of the process backend's elastic work-stealing pool.
 - :class:`ResilienceConfig` (re-exported from :mod:`repro.serving`) —
   supervised recovery on the process backend: per-task retry budget
   and deadline, worker-respawn circuit breaker, error isolation.
@@ -49,7 +49,7 @@ Minimal use::
         one = session.explain(
             SummaryRequest(task=task, method="pcst")
         )
-        for result in session.stream(tasks):      # as chunks complete
+        for result in session.stream(tasks):      # as tasks complete
             ...
 """
 

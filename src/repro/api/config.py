@@ -1,10 +1,7 @@
 """Typed configuration objects for the service API.
 
-The legacy entry points (:class:`repro.core.summarizer.Summarizer`,
-:class:`repro.core.batch.BatchSummarizer`) each grew their own copy of
-the ``engine=`` / ``canonical=`` / ``closure_cache_size=`` /
-``parallel=`` knob sprawl. The session facade replaces that with three
-small frozen dataclasses, grouped by what they govern:
+The session facade groups its knobs into three small frozen
+dataclasses, by what they govern:
 
 - :class:`EngineConfig` — *how one task is summarized*: traversal
   engine, canonical-SPT tie-breaking, and the Eq. (1) weighting and
@@ -12,18 +9,15 @@ small frozen dataclasses, grouped by what they govern:
   :class:`repro.api.requests.SummaryRequest`.
 - :class:`CacheConfig` — *what the session memoizes across tasks*: the
   terminal-closure LRU capacity.
-- :class:`ParallelConfig` — *which backend runs a batch*: serial,
-  threads or processes, worker count, chunking, and the
-  multiprocessing start method.
+- :class:`ParallelConfig` — *which backend runs a batch*: serial or
+  processes, worker count, and the multiprocessing start method.
 
-*How* a chosen backend hands tasks to workers is the scheduler's
-business — see :class:`repro.serving.SchedulerConfig` (work-stealing
-with an elastic pool vs. legacy static chunking), passed to the
-session as its fourth config.
+The elastic worker pool's bounds are the scheduler's business — see
+:class:`repro.serving.SchedulerConfig`, passed to the session as its
+fourth config.
 
 All of these validate eagerly in ``__post_init__`` so a typo fails at
-session construction, not mid-batch, with the same messages the legacy
-constructors raised.
+session construction, not mid-batch.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from repro.core.pcst_summary import PrizePolicy
 from repro.core.summarizer import ENGINES
 
 #: Dispatch backends; ``None``/"auto" picks per run (see ParallelConfig).
-PARALLEL_BACKENDS = ("serial", "threads", "processes")
+PARALLEL_BACKENDS = ("serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -45,8 +39,8 @@ class EngineConfig:
     ----------
     engine:
         Traversal backend for the graph-algorithm methods: "frozen"
-        (CSR fast path, default; "csr" is an alias) or "dict" (the
-        original adjacency walk, the parity oracle).
+        (CSR fast path, default) or "dict" (the original adjacency
+        walk, the parity oracle).
     canonical:
         Canonical-SPT tie-breaking for ST closure paths (default on:
         paths then follow from final distances alone, not from heap
@@ -110,24 +104,19 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Batch dispatch: backend, pool size, chunking.
+    """Batch dispatch: backend and pool size.
 
     Parameters
     ----------
     backend:
-        "serial", "threads", "processes", or None/"auto" (default).
-        Threads do not parallelize the CPU-bound pure-Python traversals
-        (they hold the GIL); "processes" runs over the session's
-        shared-memory export with a warm spawn-safe pool. Auto picks
-        processes on multi-core machines once the graph and batch are
-        big enough to amortize worker startup.
+        "serial", "processes", or None/"auto" (default). "processes"
+        runs over the session's shared-memory export with a warm
+        spawn-safe work-stealing pool. Auto picks processes on
+        multi-core machines once the graph and batch are big enough to
+        amortize worker startup, and serial otherwise.
     workers:
-        Pool size for the threads/processes backends; 0 means "pick"
-        (sequential for threads, ``os.cpu_count()`` for processes).
-    chunk_size:
-        Tasks per submission under the *chunked* scheduler; default
-        ``ceil(n / (4 * workers))``. The default work-stealing
-        scheduler dispatches per task and ignores this knob.
+        Initial pool size for the processes backend; 0 means
+        ``os.cpu_count()``.
     mp_start_method:
         Process start method ("fork", "spawn", "forkserver"); default
         the ``REPRO_MP_START_METHOD`` env var, else the platform
@@ -140,12 +129,11 @@ class ParallelConfig:
         becomes process-safe when listed here: spawn workers import the
         module, re-registering the method inside the fresh interpreter,
         so the session no longer demotes batches containing it to the
-        local backends.
+        serial backend.
     """
 
     backend: str | None = None
     workers: int = 0
-    chunk_size: int | None = None
     mp_start_method: str | None = None
     plugin_modules: tuple[str, ...] = ()
 
@@ -157,8 +145,6 @@ class ParallelConfig:
             )
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         # Accept any iterable of module paths; store a hashable tuple
         # (EngineConfig-keyed memos hash their configs).
         object.__setattr__(

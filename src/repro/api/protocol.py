@@ -7,9 +7,8 @@ worker-pipe wire format (:mod:`repro.serving.wire`), which needs a
 shared frozen view on both ends. A TCP server and a client that share
 nothing but bytes need one canonical, versioned schema — this module
 is that schema, and the server (:mod:`repro.serving.server`), the
-client (:mod:`repro.serving.client`), the CLI ``batch`` subcommand's
-JSONL loader and the legacy ``task_to_json``/``task_from_json`` names
-(now thin deprecated wrappers) all route through it.
+client (:mod:`repro.serving.client`) and the CLI ``batch``
+subcommand's JSONL loader all route through it.
 
 Every payload is a plain-JSON-compatible dict. Top-level frames are
 *envelopes* — ``{"protocol_version": 1, "kind": "...", ...body}`` —
@@ -22,8 +21,7 @@ machine-readable ``code`` that the server maps onto typed error frames
 Codecs come in to/from pairs and are lossless:
 
 - :func:`task_to_json` / :func:`task_from_json` — the canonical
-  :class:`~repro.core.scenarios.SummaryTask` schema (moved here from
-  ``repro.core.batch``; the old names still work but warn).
+  :class:`~repro.core.scenarios.SummaryTask` schema.
 - :func:`request_to_json` / :func:`request_from_json` — a
   :class:`~repro.api.requests.SummaryRequest` envelope: task + method
   routing + per-request :class:`~repro.api.config.EngineConfig`
@@ -52,7 +50,6 @@ bit-identical to an in-process session.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 
 from repro.api.config import EngineConfig
@@ -624,16 +621,3 @@ def report_from_json(data: dict) -> BatchReport:
         **kwargs,
     )
 
-
-# ----------------------------------------------------------------------
-# Deprecated aliases (the pre-protocol names in repro.core.batch call
-# through these shims; direct importers get a pointer here).
-# ----------------------------------------------------------------------
-def _warn_legacy(name: str) -> None:
-    warnings.warn(
-        f"repro.core.batch.{name} is deprecated; use "
-        f"repro.api.protocol.{name} (the versioned protocol module) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

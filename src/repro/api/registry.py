@@ -22,13 +22,13 @@ Spawn-safety: the built-ins register at import time, so process-pool
 workers (which import this module in a fresh interpreter) see the same
 table. Methods registered at runtime exist only in the registering
 process — they are marked ``process_safe=False`` by default and the
-session routes batches containing them to the local backends.
+session routes batches containing them to the serial backend.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api.config import EngineConfig
 from repro.core.summarizer import Summarizer
@@ -85,7 +85,7 @@ class MethodSpec:
     process_safe:
         Whether workers can rebuild this method from the registry in a
         fresh interpreter. True only for the import-time built-ins;
-        runtime registrations run on the local backends unless they
+        runtime registrations run on the serial backend unless they
         declare a ``plugin_module``.
     aliases:
         Extra lookup names (matched case-insensitively).

@@ -8,7 +8,7 @@ three typed configs, then serve explanation traffic through
 - :meth:`ExplanationSession.run` — a batch, returning the familiar
   :class:`~repro.core.batch.BatchReport`;
 - :meth:`ExplanationSession.stream` — an iterator yielding
-  :class:`~repro.core.batch.BatchResult`\\ s as chunks complete instead
+  :class:`~repro.core.batch.BatchResult`\\ s as tasks complete instead
   of blocking on the full barrier.
 
 What makes it a *session* rather than a convenience wrapper is resource
@@ -18,10 +18,9 @@ version counter and built exactly once per version:
 - the frozen CSR view (``graph.freeze()``);
 - the shared-memory export workers attach to (zero-copy, see
   :mod:`repro.graph.shared`);
-- the warm ``ProcessPoolExecutor`` — workers stay up *between* calls,
-  keeping their attached graph and per-worker summarizer/closure
-  caches, so consecutive batches pay no re-freeze, no re-export and no
-  respawn;
+- the warm worker pool — workers stay up *between* calls, keeping
+  their attached graph and per-worker summarizer/closure caches, so
+  consecutive batches pay no re-freeze, no re-export and no respawn;
 - the terminal-closure cache and per-config summarizers on the local
   path.
 
@@ -37,18 +36,21 @@ Method routing goes through :mod:`repro.api.registry`: each request
 names a registered method ("st", "st-fast", "pcst", "union", or
 anything added via ``register_method``) and may override the session's
 :class:`EngineConfig` per request. Results are bit-identical to the
-legacy ``Summarizer`` / ``BatchSummarizer`` entry points — the session
+per-task :class:`~repro.core.summarizer.Summarizer` — the session
 routes through the same implementations and the same caches.
 
-Batch dispatch is governed by a :class:`repro.serving.SchedulerConfig`:
-the default work-stealing scheduler feeds a shared task queue to an
-elastic :class:`repro.serving.ElasticWorkerPool` (per-task pulls, grow
-under queue pressure / shrink on idle, per-task result streaming over
-the compact :mod:`repro.serving.wire` format), while
-``SchedulerConfig(mode="chunked")`` keeps the legacy static-chunk
-dispatch for spawn-constrained platforms. Either way outputs stay
-bit-identical to the serial path; ``stats`` additionally counts steals,
-grows, shrinks and the peak queue depth.
+A batch runs on one of two backends: serially in this process, or on
+an elastic :class:`repro.serving.ElasticWorkerPool` (shared task
+queue, per-task pulls, grow under queue pressure / shrink on idle,
+supervised worker recovery, per-task results over the compact
+:mod:`repro.serving.wire` format) sized by a
+:class:`repro.serving.SchedulerConfig`. Each backend has one dispatch
+that yields ``(BatchResult, counter delta)`` pairs in completion
+order: :meth:`~ExplanationSession.stream` hands the results on as they
+land, and :meth:`~ExplanationSession.run` folds the same iterator into
+a :class:`~repro.core.batch.BatchReport`. Outputs stay bit-identical
+to the serial path; ``stats`` additionally counts steals, grows,
+shrinks and the peak queue depth.
 
 Sessions own OS resources (shared-memory blocks, worker processes);
 call :meth:`close` or use the session as a context manager when done.
@@ -61,12 +63,6 @@ import threading
 import time
 import warnings
 from collections.abc import Iterable, Iterator
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 from repro.api.config import CacheConfig, EngineConfig, ParallelConfig
@@ -88,23 +84,35 @@ from repro.core.batch import (
 )
 from repro.core.scenarios import SummaryTask
 from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.obs import trace as obs_trace
 from repro.obs.config import ObservabilityConfig
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.registry import exponential_buckets, get_registry
 from repro.obs.trace import TraceCollector, Tracer
-from repro.serving import pool as serving_pool
-from repro.serving.config import (
-    ResilienceConfig,
-    SchedulerConfig,
-    static_chunks,
-)
+from repro.serving.config import ResilienceConfig, SchedulerConfig
 from repro.serving.faults import FaultPlan
 from repro.serving.pool import ElasticWorkerPool
-from repro.serving.wire import decode_explanation, encode_explanation
+from repro.serving.wire import decode_explanation
 
 #: One resolved request: (request, method spec, merged engine config).
 _Resolved = tuple[SummaryRequest, MethodSpec, EngineConfig]
+
+
+@dataclass
+class _Dispatch:
+    """One started batch: its results plus the report fields around them.
+
+    ``results`` yields ``(BatchResult, counter delta)`` pairs in
+    completion order. The pool dispatch settles ``workers`` and
+    ``retried`` when its drain ends, so read them only after that.
+    """
+
+    parallel: str
+    started: float
+    scheduler: str = ""
+    workers: int = 0
+    retried: int = 0
+    freeze_seconds: float = 0.0
+    results: Iterator[tuple[BatchResult, dict]] | None = None
 
 
 def _stat_line(label: str, values: dict) -> str:
@@ -249,66 +257,6 @@ class SessionStats:
         )
 
 
-# ----------------------------------------------------------------------
-# Process-pool worker side (chunked scheduler). Module-level so spawn
-# can import it; the per-worker state and summarizer memo live in
-# repro.serving.pool (whose ``_init_worker_state`` is this executor's
-# initializer) so the chunked executor workers and the work-stealing
-# workers memoize identically.
-# ----------------------------------------------------------------------
-def _session_run_chunk(jobs: list) -> tuple[list, dict[str, int]]:
-    """Summarize one chunk of ``(index, attempt, fault, method, config,
-    task)`` jobs.
-
-    Returns ``(results, counter_delta)`` with results as
-    ``(index, payload, seconds)`` triples — payloads in the compact
-    :mod:`repro.serving.wire` format (parent-CSR int arrays instead of
-    pickled subgraph objects); chunks run sequentially inside a worker,
-    so before/after cache snapshots are race-free.
-
-    ``fault`` is the per-task fault directive (or None): "crash" hard-
-    exits the worker mid-chunk — breaking the whole executor, which is
-    exactly the failure the supervised parent loop recovers from —
-    "hang"/"delay" sleep, "malformed" corrupts the task's payload.
-    """
-    worker = serving_pool._WORKER
-    before = _cache_counters(worker.get("cache"))
-    frozen = worker["frozen"]
-    tracing = obs_trace.ambient_enabled()
-    out = []
-    for index, attempt, fault, name, config, task in jobs:
-        if fault is not None:
-            fault.apply_in_worker()
-        summarizer = serving_pool._worker_summarizer(name, config)
-        if tracing:
-            obs_trace.set_ambient_task(index)
-        task_start = time.perf_counter()
-        explanation = summarizer.summarize(task)
-        seconds = time.perf_counter() - task_start
-        encode_start = time.perf_counter()
-        payload = encode_explanation(explanation, frozen)
-        if tracing:
-            obs_trace.record_event(
-                "worker.encode",
-                time.perf_counter() - encode_start,
-                worker=os.getpid(),
-            )
-            obs_trace.record_event(
-                "worker.compute",
-                seconds,
-                worker=os.getpid(),
-                attempt=attempt,
-            )
-        if fault is not None and fault.kind == "malformed":
-            payload = fault.corrupt(payload)
-        out.append((index, payload, seconds))
-    after = _cache_counters(worker.get("cache"))
-    delta = {key: after[key] - before[key] for key in _STAT_KEYS}
-    if tracing:
-        delta["_spans"] = obs_trace.drain_ambient()
-    return out, delta
-
-
 class ExplanationSession:
     """Long-lived explanation service over one knowledge graph.
 
@@ -324,12 +272,11 @@ class ExplanationSession:
         :class:`CacheConfig` for the session-owned closure cache (and
         the per-worker caches under the process backend).
     parallel:
-        :class:`ParallelConfig` governing batch dispatch.
+        :class:`ParallelConfig` choosing the batch backend (serial or
+        processes) and the pool size.
     scheduler:
-        :class:`repro.serving.SchedulerConfig` governing how a chosen
-        backend hands tasks to workers: work-stealing (shared queue,
-        elastic pool, per-task streaming — the default) or the legacy
-        static chunking.
+        :class:`repro.serving.SchedulerConfig` sizing the elastic
+        worker pool: floor, ceiling, grow pressure and idle shrink.
     default_method:
         Registered method used for requests that don't name one
         (default "st").
@@ -357,7 +304,7 @@ class ExplanationSession:
     """
 
     #: Auto-backend thresholds: below either, worker startup + IPC
-    #: dominates and the local backends win.
+    #: dominates and the serial backend wins.
     AUTO_PROCESS_MIN_NODES = 4096
     AUTO_PROCESS_MIN_TASKS = 8
 
@@ -422,23 +369,6 @@ class ExplanationSession:
             "repro_tasks_total",
             "Tasks served across every session entry point",
         )
-        if (
-            self.scheduler_config.mode == "chunked"
-            and self.resilience_config.task_timeout_seconds > 0
-        ):
-            # Config-validation-time warning, not a mid-batch surprise:
-            # the chunked executor has no per-task leases, so deadlines
-            # cannot be enforced there (see the README failure-mode
-            # table). Crash supervision still applies per chunk.
-            warnings.warn(
-                "ResilienceConfig.task_timeout_seconds is ignored by "
-                "the chunked scheduler (per-task deadlines need the "
-                "work-stealing pool's task leases); use "
-                'SchedulerConfig(mode="work-stealing") for deadline '
-                "enforcement",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         self._faults = faults
         self.default_method = method_spec(default_method).name
         self.stats = SessionStats()
@@ -449,8 +379,6 @@ class ExplanationSession:
         #: Last-synced store counters; deltas fold into ``stats`` so
         #: lifetime counters survive store rebuilds (invalidations).
         self._store_seen: dict = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_workers = 0
         self._steal_pool: ElasticWorkerPool | None = None
         self._closure_cache: TerminalClosureCache | None = None
         self._summarizers: dict = {}
@@ -489,10 +417,6 @@ class ExplanationSession:
         """
         self._stop_ticker()
         with self._pool_gate:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-                self._pool_workers = 0
             if self._steal_pool is not None:
                 self._steal_pool.shutdown()
                 self._steal_pool = None
@@ -653,7 +577,7 @@ class ExplanationSession:
         return self._store
 
     def _worker_cache_config(self) -> tuple:
-        """The per-worker cache recipe both process pools initialize with.
+        """The per-worker cache recipe the worker pool initializes with.
 
         ``(closure_size, store_handle, plugin_modules, trace)`` — the
         store handle carries the shared-memory token plus its locks
@@ -788,6 +712,12 @@ class ExplanationSession:
     ) -> BatchReport:
         """Serve a batch; per-task timings and cache stats in the report.
 
+        The report is a fold over the same completion-order iterator
+        :meth:`stream` yields: results sorted back into input order,
+        per-task cache counter deltas summed. A process-backend failure
+        (pool setup, or a broken pool mid-drain) demotes the whole
+        batch to a serial rerun with a ``RuntimeWarning``.
+
         With tracing enabled (``ObservabilityConfig(trace=True)``) the
         whole batch becomes one trace tree — freeze/export, pool
         spawn, dispatch, per-task queue-wait/compute/encode spans (the
@@ -797,43 +727,27 @@ class ExplanationSession:
         id; ``queue_wait_seconds`` records the server's admission
         wait.
         """
-        resolved = [self._resolve(item) for item in items]
-        self._refresh()
-        backend = self._resolve_backend(resolved)
-        self.stats.runs += 1
-        self.stats.tasks += len(resolved)
-        trace = self._tracer.begin(
-            "run",
-            trace_id=trace_id,
-            tasks=len(resolved),
-            backend=backend,
+        resolved, backend, trace = self._begin(
+            "run", items, trace_id, queue_wait_seconds
         )
-        if trace is not None and queue_wait_seconds is not None:
-            trace.event("server.queue_wait", queue_wait_seconds)
         batch_start = time.perf_counter()
         try:
             if backend == "processes":
                 try:
-                    return self._run_processes(resolved, trace)
-                except _PROCESS_FALLBACK_ERRORS as error:
-                    self.release_pool()
-                    backend = self._demote_to_local(
-                        f"process backend unavailable ({error!r})",
-                        len(resolved),
+                    return self._fold(
+                        resolved, self._dispatch_pool(resolved, trace)
                     )
-                finally:
-                    self._sync_store_stats()
-            try:
-                return self._run_local(resolved, backend, trace)
-            finally:
-                self._sync_store_stats()
+                except _PROCESS_FALLBACK_ERRORS as error:
+                    backend = self._abandon_pool(error, len(resolved))
+            return self._fold(
+                resolved, self._dispatch_serial(resolved, trace)
+            )
         finally:
+            self._sync_store_stats()
             if self._metrics_on:
                 self._m_batch_seconds.observe(
                     time.perf_counter() - batch_start
                 )
-                self._m_batch_size.observe(len(resolved))
-                self._m_tasks_total.inc(len(resolved))
             if trace is not None:
                 trace.finish(backend=backend)
 
@@ -846,79 +760,103 @@ class ExplanationSession:
     ) -> Iterator[BatchResult]:
         """Serve a batch incrementally.
 
-        Yields :class:`BatchResult`\\ s as they complete — task by task
-        under the default work-stealing scheduler (each result leaves
-        its worker the moment it is finished) and locally, chunk by
-        chunk under the legacy chunked process scheduler — instead of
-        blocking on the whole batch. Arrival order follows completion,
-        not submission; each result carries its input ``index`` for
-        reordering. Setup (request resolution, backend choice, pool
-        warm-up, fallback warnings) happens eagerly in this call, and
-        the process backend also submits its work eagerly — workers
-        compute while the caller consumes. The local backends compute
-        lazily, driven by iteration.
+        Yields :class:`BatchResult`\\ s as tasks complete instead of
+        blocking on the whole batch — on the process backend each
+        result leaves its worker the moment it is finished. Arrival
+        order follows completion, not submission; each result carries
+        its input ``index`` for reordering. Setup (request resolution,
+        backend choice, pool warm-up, fallback warnings) happens
+        eagerly in this call, and the process backend also submits its
+        work eagerly — workers compute while the caller consumes. The
+        serial backend computes lazily, driven by iteration.
         """
+        resolved, backend, trace = self._begin(
+            "stream", items, trace_id, queue_wait_seconds
+        )
+        dispatch = None
+        if backend == "processes":
+            try:
+                dispatch = self._dispatch_pool(resolved, trace)
+            except _PROCESS_FALLBACK_ERRORS as error:
+                self._abandon_pool(error, len(resolved))
+        if dispatch is None:
+            dispatch = self._dispatch_serial(resolved, trace)
+        return self._synced_stream(dispatch.results, trace)
+
+    def _begin(self, kind: str, items, trace_id, queue_wait_seconds):
+        """Resolve a batch, pick its backend, count it, open its trace."""
         resolved = [self._resolve(item) for item in items]
         self._refresh()
         backend = self._resolve_backend(resolved)
         self.stats.runs += 1
         self.stats.tasks += len(resolved)
         trace = self._tracer.begin(
-            "stream",
-            trace_id=trace_id,
-            tasks=len(resolved),
-            backend=backend,
+            kind, trace_id=trace_id, tasks=len(resolved), backend=backend
         )
         if trace is not None and queue_wait_seconds is not None:
             trace.event("server.queue_wait", queue_wait_seconds)
         if self._metrics_on:
             self._m_batch_size.observe(len(resolved))
             self._m_tasks_total.inc(len(resolved))
-        if backend == "processes":
-            try:
-                return self._synced_stream(
-                    self._stream_processes(resolved, trace), trace
-                )
-            except _PROCESS_FALLBACK_ERRORS as error:
-                self.release_pool()
-                backend = self._demote_to_local(
-                    f"process backend unavailable ({error!r})",
-                    len(resolved),
-                )
-        return self._synced_stream(
-            self._stream_local(resolved, backend, trace), trace
-        )
+        return resolved, backend, trace
 
-    def _synced_stream(
-        self, iterator: Iterator[BatchResult], trace=None
-    ):
-        """Fold store counters when a stream drains (or is abandoned)."""
+    def _synced_stream(self, results: Iterator[tuple], trace=None):
+        """Strip the counter deltas; fold store counters when drained."""
         try:
-            yield from iterator
+            for result, _delta in results:
+                yield result
         finally:
             if trace is not None:
                 trace.finish()
             self._sync_store_stats()
 
+    def _fold(self, resolved: list[_Resolved], dispatch) -> BatchReport:
+        """Drain one dispatch into a report: input order, summed deltas."""
+        results = []
+        totals = dict.fromkeys(_STAT_KEYS, 0)
+        for result, delta in dispatch.results:
+            results.append(result)
+            for key in _STAT_KEYS:
+                totals[key] += delta[key]
+        results.sort(key=lambda result: result.index)
+        return BatchReport(
+            method=self._report_method(resolved),
+            results=tuple(results),
+            freeze_seconds=dispatch.freeze_seconds,
+            total_seconds=time.perf_counter() - dispatch.started,
+            cache_hits=totals["hits"],
+            cache_misses=totals["misses"],
+            store_hits=totals["store_hits"],
+            store_misses=totals["store_misses"],
+            workers=dispatch.workers,
+            parallel=dispatch.parallel,
+            scheduler=dispatch.scheduler,
+            retried=dispatch.retried,
+        )
+
     # ------------------------------------------------------------------
     # Backend resolution
     # ------------------------------------------------------------------
-    def _local_fallback(self, num_tasks: int) -> str:
-        if self.parallel_config.workers > 1 and num_tasks > 1:
-            return "threads"
-        return "serial"
+    def _abandon_pool(self, error: BaseException, num_tasks: int) -> str:
+        """Release the pool after a process-backend failure; demote."""
+        self.release_pool()
+        return self._demote_to_local(
+            f"process backend unavailable ({error!r})",
+            num_tasks,
+            stacklevel=4,
+        )
 
     def _demote_to_local(
-        self, reason: str, num_tasks: int, *, stacklevel: int = 3
+        self, reason: str, num_tasks: int, *, stacklevel: int
     ) -> str:
-        """Warn once, count the demotion, and pick the local backend.
+        """Warn once, count the demotion, and pick the serial backend.
 
-        Every path that abandons the process backend mid-request funnels
-        through here so the RuntimeWarning wording, the
-        ``SessionStats.local_fallbacks`` counter, and the
-        threads-vs-serial choice can never drift apart. Demotion is the
-        whole-batch blast radius that worker supervision exists to make
-        rare; the counter is what chaos tests pin to 0.
+        Every path that abandons the process backend funnels through
+        here so the RuntimeWarning wording and the
+        ``SessionStats.local_fallbacks`` counter can never drift apart.
+        Demotion is the whole-batch blast radius that worker
+        supervision exists to make rare; the counter is what chaos
+        tests pin to 0.
         """
         self.stats.local_fallbacks += 1
         get_logger().emit(
@@ -929,7 +867,7 @@ class ExplanationSession:
             RuntimeWarning,
             stacklevel=stacklevel,
         )
-        return self._local_fallback(num_tasks)
+        return "serial"
 
     def _spec_process_safe(self, spec: MethodSpec) -> bool:
         """Whether spawn workers can rebuild ``spec`` from the registry.
@@ -949,21 +887,19 @@ class ExplanationSession:
     def _resolve_backend(self, resolved: list[_Resolved]) -> str:
         choice = self.parallel_config.backend or "auto"
         num_tasks = len(resolved)
+        if choice == "serial" or num_tasks == 0:
+            return "serial"
         process_safe = all(
             self._spec_process_safe(spec) for _r, spec, _c in resolved
         )
         if choice == "processes":
-            if num_tasks == 0:
-                return "serial"
             if not process_safe:
                 return self._demote_to_local(
                     "batch contains methods registered at runtime "
                     "(not process-safe)",
                     num_tasks,
-                    stacklevel=4,
+                    stacklevel=5,
                 )
-            return choice
-        if choice != "auto":
             return choice
         cpus = os.cpu_count() or 1
         if (
@@ -974,12 +910,10 @@ class ExplanationSession:
             and num_tasks >= self.AUTO_PROCESS_MIN_TASKS
         ):
             return "processes"
-        if self.parallel_config.workers > 1 and num_tasks > 1:
-            return "threads"
         return "serial"
 
     # ------------------------------------------------------------------
-    # Local (serial / thread-pool) execution
+    # Serial dispatch
     # ------------------------------------------------------------------
     def _needs_frozen(self, resolved: list[_Resolved]) -> bool:
         return any(
@@ -1012,139 +946,40 @@ class ExplanationSession:
             trace=payload_trace,
         )
 
-    def _local_pool_size(self) -> int:
-        if self.parallel_config.workers > 0:
-            return self.parallel_config.workers
-        return os.cpu_count() or 1
-
-    def _chunk_results(
-        self, chunk: list, trace=None
-    ) -> list[BatchResult]:
-        """One static chunk, computed inline (thread chunked mode)."""
-        return [
-            self._one_result(index, item, trace)
-            for index, item in chunk
-        ]
-
-    def _run_local(
-        self, resolved: list[_Resolved], backend: str, trace=None
-    ) -> BatchReport:
-        start = time.perf_counter()
-        freeze_seconds = 0.0
+    def _dispatch_serial(
+        self, resolved: list[_Resolved], trace=None
+    ) -> _Dispatch:
+        """Freeze and build summarizers now; compute lazily, in order."""
+        dispatch = _Dispatch(
+            parallel="serial",
+            started=time.perf_counter(),
+            workers=self.parallel_config.workers,
+        )
         if self._needs_frozen(resolved):
             freeze_start = time.perf_counter()
             self._frozen_view()
-            freeze_seconds = time.perf_counter() - freeze_start
-        if trace is not None and freeze_seconds > 0:
-            trace.event("session.freeze_export", freeze_seconds)
-        # Pre-build every distinct summarizer serially so the thread
-        # path never races two builds of the same config (results would
-        # still be right, but counters could split across caches).
+            dispatch.freeze_seconds = time.perf_counter() - freeze_start
+            if trace is not None:
+                trace.event(
+                    "session.freeze_export", dispatch.freeze_seconds
+                )
         for _request, spec, config in resolved:
             self._summarizer_for(spec, config)
-        before = _cache_counters(self._closure_cache)
 
-        pool_size = self._local_pool_size()
-        scheduler = ""
-        if backend == "threads" and pool_size > 1 and len(resolved) > 1:
-            scheduler = self.scheduler_config.mode
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                if scheduler == "chunked":
-                    # Static chunks as indivisible futures; flattening
-                    # in submission order restores input order.
-                    futures = [
-                        pool.submit(self._chunk_results, chunk, trace)
-                        for chunk in static_chunks(
-                            list(enumerate(resolved)),
-                            pool_size,
-                            self.parallel_config.chunk_size,
-                        )
-                    ]
-                    results = [
-                        result
-                        for future in futures
-                        for result in future.result()
-                    ]
-                else:
-                    results = list(
-                        pool.map(
-                            lambda pair: self._one_result(*pair, trace),
-                            enumerate(resolved),
-                        )
-                    )
-            workers = pool_size
-        else:
-            backend = "serial"
-            results = [
-                self._one_result(index, item, trace)
-                for index, item in enumerate(resolved)
-            ]
-            workers = self.parallel_config.workers
-        after = _cache_counters(self._closure_cache)
-
-        return BatchReport(
-            method=self._report_method(resolved),
-            results=tuple(results),
-            freeze_seconds=freeze_seconds,
-            total_seconds=time.perf_counter() - start,
-            cache_hits=after["hits"] - before["hits"],
-            cache_misses=after["misses"] - before["misses"],
-            store_hits=after["store_hits"] - before["store_hits"],
-            store_misses=after["store_misses"] - before["store_misses"],
-            workers=workers,
-            parallel=backend,
-            scheduler=scheduler,
-        )
-
-    def _stream_local(
-        self, resolved: list[_Resolved], backend: str, trace=None
-    ) -> Iterator[BatchResult]:
-        if self._needs_frozen(resolved):
-            self._frozen_view()
-        for _request, spec, config in resolved:
-            self._summarizer_for(spec, config)
-        pool_size = self._local_pool_size()
-        if backend == "threads" and pool_size > 1 and len(resolved) > 1:
-            if self.scheduler_config.mode == "chunked":
-
-                def chunked() -> Iterator[BatchResult]:
-                    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                        futures = [
-                            pool.submit(
-                                self._chunk_results, chunk, trace
-                            )
-                            for chunk in static_chunks(
-                                list(enumerate(resolved)),
-                                pool_size,
-                                self.parallel_config.chunk_size,
-                            )
-                        ]
-                        for future in as_completed(futures):
-                            yield from future.result()
-
-                return chunked()
-
-            def threaded() -> Iterator[BatchResult]:
-                with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                    futures = [
-                        pool.submit(
-                            self._one_result, index, item, trace
-                        )
-                        for index, item in enumerate(resolved)
-                    ]
-                    for future in as_completed(futures):
-                        yield future.result()
-
-            return threaded()
-
-        def serial() -> Iterator[BatchResult]:
+        def results() -> Iterator[tuple[BatchResult, dict]]:
             for index, item in enumerate(resolved):
-                yield self._one_result(index, item, trace)
+                before = _cache_counters(self._closure_cache)
+                result = self._one_result(index, item, trace)
+                after = _cache_counters(self._closure_cache)
+                yield result, {
+                    key: after[key] - before[key] for key in _STAT_KEYS
+                }
 
-        return serial()
+        dispatch.results = results()
+        return dispatch
 
     # ------------------------------------------------------------------
-    # Warm process-pool execution
+    # Warm process-pool dispatch
     # ------------------------------------------------------------------
     def _mp_context(self):
         import multiprocessing
@@ -1174,22 +1009,6 @@ class ExplanationSession:
             freeze_seconds = time.perf_counter() - freeze_start
         return freeze_seconds
 
-    def _ensure_chunked_pool(self) -> None:
-        """Spawn the legacy chunk executor at most once per version."""
-        if self._pool is None:
-            workers = max(1, self._local_pool_size())
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=self._mp_context(),
-                initializer=serving_pool._init_worker_state,
-                initargs=(
-                    self._export.handle,
-                    self._worker_cache_config(),
-                ),
-            )
-            self._pool_workers = workers
-            self.stats.pool_starts += 1
-
     def _ensure_steal_pool(self) -> ElasticWorkerPool:
         """Spawn the elastic work-stealing pool at most once per version.
 
@@ -1201,12 +1020,13 @@ class ExplanationSession:
         if self._steal_pool is not None and self._steal_pool.broken:
             self._steal_pool = None
         if self._steal_pool is None:
+            workers = self.parallel_config.workers or os.cpu_count() or 1
             self._steal_pool = ElasticWorkerPool(
                 self._mp_context(),
                 self._export.handle,
                 self._worker_cache_config(),
                 self.scheduler_config,
-                max(1, self._local_pool_size()),
+                workers,
                 resilience=self.resilience_config,
                 faults=self._faults,
             )
@@ -1302,18 +1122,17 @@ class ExplanationSession:
             trace=payload_trace,
         )
 
-    def _run_processes(
+    def _dispatch_pool(
         self, resolved: list[_Resolved], trace=None
-    ) -> BatchReport:
-        if self.scheduler_config.mode == "work-stealing":
-            return self._run_stealing(resolved, trace)
-        return self._run_chunked(resolved, trace)
-
-    def _run_stealing(
-        self, resolved: list[_Resolved], trace=None
-    ) -> BatchReport:
-        start = time.perf_counter()
-        freeze_seconds = self._ensure_export()
+    ) -> _Dispatch:
+        """Export, warm the pool and submit now; drain as results land."""
+        dispatch = _Dispatch(
+            parallel="processes",
+            started=time.perf_counter(),
+            scheduler="work-stealing",
+        )
+        dispatch.freeze_seconds = self._ensure_export()
+        frozen = self._frozen_view()
         # Dispatch start under the pool gate: the idle ticker never
         # interleaves its shrink with submission (and the open dispatch
         # it registers keeps the ticker away until the drain is done).
@@ -1322,264 +1141,18 @@ class ExplanationSession:
             pool = self._ensure_steal_pool()
             pool_seconds = time.perf_counter() - pool_start
             before = self._steal_counters(pool)
-            dispatch_start = time.perf_counter()
+            submit_start = time.perf_counter()
             drain = pool.dispatch(self._jobs(resolved), trace=trace)
-            dispatch_seconds = time.perf_counter() - dispatch_start
+            submit_seconds = time.perf_counter() - submit_start
         if trace is not None:
-            if freeze_seconds > 0:
-                trace.event("session.freeze_export", freeze_seconds)
+            if dispatch.freeze_seconds > 0:
+                trace.event("session.freeze_export", dispatch.freeze_seconds)
             trace.event("session.pool", pool_seconds, workers=pool.size)
             trace.event(
-                "session.dispatch", dispatch_seconds, tasks=len(resolved)
+                "session.dispatch", submit_seconds, tasks=len(resolved)
             )
-        stats = dict.fromkeys(_STAT_KEYS, 0)
-        merged: list[tuple] = []
-        try:
-            for index, payload, latency, delta, failure in drain:
-                merged.append((index, payload, latency, failure))
-                for key in _STAT_KEYS:
-                    stats[key] += delta[key]
-                if trace is not None:
-                    trace.merge_worker(delta.get("_spans"))
-                    trace.end_task(index)
-                if self._metrics_on:
-                    self._m_task_seconds.observe(latency)
-        finally:
-            workers = max(pool.size, 1)
-            retried = pool.task_retries - before[4]
-            self._absorb_steal_stats(pool, before)
-        merged.sort(key=lambda entry: entry[0])
-        frozen = self._frozen_view()
-        results = tuple(
-            self._steal_result(
-                resolved, frozen, index, payload, seconds, failure, trace
-            )
-            for index, payload, seconds, failure in merged
-        )
-        return BatchReport(
-            method=self._report_method(resolved),
-            results=results,
-            freeze_seconds=freeze_seconds,
-            total_seconds=time.perf_counter() - start,
-            cache_hits=stats["hits"],
-            cache_misses=stats["misses"],
-            store_hits=stats["store_hits"],
-            store_misses=stats["store_misses"],
-            workers=workers,
-            parallel="processes",
-            scheduler="work-stealing",
-            retried=retried,
-        )
 
-    def _chunk_envelope(self, chunk: list, attempt: int) -> list:
-        """Arm one chunk's jobs with their fault directives + attempt."""
-        return [
-            (
-                index,
-                attempt,
-                (
-                    self._faults.for_task(index, attempt)
-                    if self._faults
-                    else None
-                ),
-                name,
-                config,
-                task,
-            )
-            for index, name, config, task in chunk
-        ]
-
-    def _supervised_chunk_results(self, chunks: list) -> Iterator[tuple]:
-        """Drive chunks through the executor, surviving worker deaths.
-
-        Yields ``(entries, counter_delta)`` per concluded chunk, with
-        entries as ``(index, payload, seconds, failure)``. A worker
-        death breaks the whole ``ProcessPoolExecutor`` — every chunk
-        still in flight raises ``BrokenProcessPool`` (attribution to
-        the chunk that killed the worker is impossible from the
-        parent), so each interrupted chunk is charged one retry and
-        re-run on a respawned executor; a chunk that exhausts
-        ``ResilienceConfig.max_task_retries`` concludes as typed
-        ``TaskFailure(cause="crash")`` results while the rest of the
-        batch completes. ``max_worker_respawns`` is the same circuit
-        breaker the work-stealing pool honors: past it (or at 0, the
-        supervision-off legacy contract) ``BrokenProcessPool``
-        propagates and the session demotes the batch to its local
-        fallback.
-        """
-        retries = self.resilience_config.max_task_retries
-        budget = self.resilience_config.max_worker_respawns
-        zero = dict.fromkeys(_STAT_KEYS, 0)
-        respawns = 0
-        queue = [(chunk, 0) for chunk in chunks]
-        while queue:
-            self._ensure_chunked_pool()
-            futures = {
-                self._pool.submit(
-                    _session_run_chunk,
-                    self._chunk_envelope(chunk, attempt),
-                ): (chunk, attempt)
-                for chunk, attempt in queue
-            }
-            queue = []
-            broken = False
-            for future in as_completed(futures):
-                chunk, attempt = futures[future]
-                try:
-                    results, delta = future.result()
-                except BrokenProcessPool:
-                    if budget == 0:
-                        raise  # supervision off: whole-batch demotion
-                    broken = True
-                    if attempt < retries:
-                        queue.append((chunk, attempt + 1))
-                        self.stats.task_retries += len(chunk)
-                    else:
-                        yield (
-                            [
-                                (
-                                    index,
-                                    None,
-                                    0.0,
-                                    TaskFailure(
-                                        cause="crash",
-                                        message=(
-                                            "worker died while this "
-                                            "chunk was in flight; "
-                                            "retry budget exhausted"
-                                        ),
-                                        retries=attempt,
-                                    ),
-                                )
-                                for index, _n, _c, _t in chunk
-                            ],
-                            zero,
-                        )
-                else:
-                    yield (
-                        [(i, p, s, None) for i, p, s in results],
-                        delta,
-                    )
-            if broken:
-                self.stats.worker_deaths += 1
-                respawns += 1
-                if respawns > budget:
-                    raise BrokenProcessPool(
-                        f"chunked executor died {respawns} time(s); "
-                        f"respawn budget ({budget}) exhausted"
-                    )
-                # Scrap the broken executor; the shared-memory export
-                # survives, so the respawn re-attaches, not re-exports.
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-
-    def _run_chunked(
-        self, resolved: list[_Resolved], trace=None
-    ) -> BatchReport:
-        start = time.perf_counter()
-        freeze_seconds = self._ensure_export()
-        pool_start = time.perf_counter()
-        self._ensure_chunked_pool()
-        if trace is not None:
-            if freeze_seconds > 0:
-                trace.event("session.freeze_export", freeze_seconds)
-            trace.event(
-                "session.pool",
-                time.perf_counter() - pool_start,
-                workers=self._pool_workers,
-            )
-        chunks = static_chunks(
-            self._jobs(resolved),
-            self._pool_workers,
-            self.parallel_config.chunk_size,
-        )
-        workers = min(self._pool_workers, len(chunks))
-        retried_before = self.stats.task_retries
-        stats = dict.fromkeys(_STAT_KEYS, 0)
-        merged: list[tuple] = []
-        for entries, delta in self._supervised_chunk_results(chunks):
-            merged.extend(entries)
-            for key in _STAT_KEYS:
-                stats[key] += delta[key]
-            if trace is not None:
-                trace.merge_worker(delta.get("_spans"))
-                for index, _payload, _seconds, _failure in entries:
-                    trace.end_task(index)
-            if self._metrics_on:
-                for _index, _payload, seconds, failure in entries:
-                    if failure is None:
-                        self._m_task_seconds.observe(seconds)
-        merged.sort(key=lambda entry: entry[0])
-        frozen = self._frozen_view()
-        results = tuple(
-            self._steal_result(
-                resolved, frozen, index, payload, seconds, failure, trace
-            )
-            for index, payload, seconds, failure in merged
-        )
-        return BatchReport(
-            method=self._report_method(resolved),
-            results=results,
-            freeze_seconds=freeze_seconds,
-            total_seconds=time.perf_counter() - start,
-            cache_hits=stats["hits"],
-            cache_misses=stats["misses"],
-            store_hits=stats["store_hits"],
-            store_misses=stats["store_misses"],
-            workers=workers,
-            parallel="processes",
-            scheduler="chunked",
-            retried=self.stats.task_retries - retried_before,
-        )
-
-    def _stream_processes(
-        self, resolved: list[_Resolved], trace=None
-    ) -> Iterator[BatchResult]:
-        """Eagerly set up + submit; return the completion-order iterator."""
-        if self.scheduler_config.mode == "work-stealing":
-            return self._stream_stealing(resolved, trace)
-        self._ensure_export()
-        self._ensure_chunked_pool()
-        frozen = self._frozen_view()
-        chunks = static_chunks(
-            self._jobs(resolved),
-            self._pool_workers,
-            self.parallel_config.chunk_size,
-        )
-        supervised = self._supervised_chunk_results(chunks)
-
-        def results() -> Iterator[BatchResult]:
-            for entries, delta in supervised:
-                if trace is not None:
-                    trace.merge_worker(delta.get("_spans"))
-                for index, payload, seconds, failure in entries:
-                    if trace is not None:
-                        trace.end_task(index)
-                    if self._metrics_on and failure is None:
-                        self._m_task_seconds.observe(seconds)
-                    yield self._steal_result(
-                        resolved,
-                        frozen,
-                        index,
-                        payload,
-                        seconds,
-                        failure,
-                        trace,
-                    )
-
-        return results()
-
-    def _stream_stealing(
-        self, resolved: list[_Resolved], trace=None
-    ) -> Iterator[BatchResult]:
-        self._ensure_export()
-        frozen = self._frozen_view()
-        with self._pool_gate:
-            pool = self._ensure_steal_pool()
-            before = self._steal_counters(pool)
-            drain = pool.dispatch(self._jobs(resolved), trace=trace)
-
-        def results() -> Iterator[BatchResult]:
+        def results() -> Iterator[tuple[BatchResult, dict]]:
             try:
                 for index, payload, latency, delta, failure in drain:
                     if trace is not None:
@@ -1587,20 +1160,18 @@ class ExplanationSession:
                         trace.end_task(index)
                     if self._metrics_on:
                         self._m_task_seconds.observe(latency)
-                    yield self._steal_result(
-                        resolved,
-                        frozen,
-                        index,
-                        payload,
-                        latency,
-                        failure,
-                        trace,
+                    result = self._steal_result(
+                        resolved, frozen, index, payload, latency, failure, trace
                     )
+                    yield result, delta
             finally:
                 # close() runs the drain's cleanup deterministically; an
                 # abandoned consumer forfeits only this batch's
                 # remaining results, the pool stays warm.
                 drain.close()
+                dispatch.workers = max(pool.size, 1)
+                dispatch.retried = pool.task_retries - before[4]
                 self._absorb_steal_stats(pool, before)
 
-        return results()
+        dispatch.results = results()
+        return dispatch

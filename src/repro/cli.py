@@ -9,7 +9,6 @@ Usage::
     repro-xsum batch --tasks tasks.jsonl --method ST
     repro-xsum batch --demo 100 --method ST --parallel processes --workers 4
     repro-xsum batch --demo 100 --stream
-    repro-xsum batch --demo 100 --parallel processes --scheduler chunked
     repro-xsum batch --demo 100 --parallel processes --min-workers 1 --max-workers 8
     repro-xsum batch --demo 100 --parallel processes --closure-store --store-mb 128
     repro-xsum batch --demo 100 --trace --slow-ms 50
@@ -26,9 +25,9 @@ per line, see ``repro.api.protocol.task_to_json`` for the schema) — or
 over ``--demo N`` user-centric tasks drawn from the workbench
 recommender when no file is given — and prints per-batch timing and
 closure-cache statistics. ``--stream`` prints each result the moment
-its worker finishes it (per task under the default work-stealing
-scheduler; per chunk with ``--scheduler chunked``). ``--min-workers``
-/ ``--max-workers`` bound the elastic pool.
+its worker finishes it. ``--parallel`` picks the serial or the
+process backend (``auto`` by default); ``--min-workers`` /
+``--max-workers`` bound the process backend's elastic pool.
 
 The ``serve`` subcommand starts the network front door
 (:class:`repro.serving.ExplanationServer`): the workbench graph hosted
@@ -124,7 +123,6 @@ def _run_batch(parser: argparse.ArgumentParser, args) -> int:
             workers=args.workers,
         ),
         scheduler=SchedulerConfig(
-            mode=args.scheduler,
             min_workers=args.min_workers,
             max_workers=args.max_workers,
         ),
@@ -211,7 +209,6 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
             workers=args.workers,
         ),
         scheduler=SchedulerConfig(
-            mode=args.scheduler,
             min_workers=args.min_workers,
             max_workers=args.max_workers,
         ),
@@ -324,36 +321,26 @@ def main(argv: list[str] | None = None) -> int:
     )
     batch_group.add_argument(
         "--engine",
-        choices=("frozen", "csr", "dict"),
+        choices=("frozen", "dict"),
         default="frozen",
-        help="traversal backend: CSR fast path (frozen/csr) or the "
+        help="traversal backend: CSR fast path (frozen) or the "
         "dict-of-dicts oracle (applies to ST/ST-fast/PCST; Union has "
         "no traversal)",
     )
     batch_group.add_argument(
         "--parallel",
-        choices=("auto", "serial", "threads", "processes"),
+        choices=("auto", "serial", "processes"),
         default="auto",
         help="dispatch backend: processes = shared-memory multi-core "
-        "pool (threads are GIL-bound for these pure-Python "
-        "traversals); auto picks processes on multi-core machines for "
-        "big enough graphs/batches",
+        "work-stealing pool; auto picks processes on multi-core "
+        "machines for big enough graphs/batches, serial otherwise",
     )
     batch_group.add_argument(
         "--stream",
         action="store_true",
         help="stream each result as its worker finishes it (service "
-        "API ExplanationSession.stream; per task under work-stealing, "
-        "per chunk under --scheduler chunked) instead of printing one "
-        "report at the end",
-    )
-    batch_group.add_argument(
-        "--scheduler",
-        choices=("work-stealing", "chunked"),
-        default="work-stealing",
-        help="batch dispatch discipline: work-stealing (shared task "
-        "queue, elastic worker pool, per-task streaming — default) or "
-        "chunked (legacy static ceil(n/4w) chunk dispatch)",
+        "API ExplanationSession.stream) instead of printing one report "
+        "at the end",
     )
     batch_group.add_argument(
         "--min-workers",

@@ -23,12 +23,10 @@ from repro.core.weighting import ExplanationWeighting
 from repro.core.batch import (
     BatchReport,
     BatchResult,
-    BatchSummarizer,
     TerminalClosureCache,
     dump_tasks_jsonl,
     load_tasks_jsonl,
 )
-from repro.core.incremental import IncrementalSteinerSummarizer
 from repro.core.steiner_summary import SteinerSummarizer
 from repro.core.pcst_summary import PCSTSummarizer, PrizePolicy
 from repro.core.union_summary import UnionSummarizer
@@ -38,10 +36,8 @@ from repro.core.verbalize import verbalize_path, verbalize_summary
 __all__ = [
     "BatchReport",
     "BatchResult",
-    "BatchSummarizer",
     "Explanation",
     "ExplanationWeighting",
-    "IncrementalSteinerSummarizer",
     "PCSTSummarizer",
     "PathSetExplanation",
     "PrizePolicy",

@@ -21,36 +21,29 @@ shorter run on every entry the Steiner construction reads. Predecessor
 chains are safe because Eq. (1) costs are bounded below by ``1 - ρ > 0``
 — every node on a shortest path settles strictly before its target.
 
-Batch *execution* moved to the service layer: a long-lived
+Batch *execution* lives in the service layer: a long-lived
 :class:`repro.api.ExplanationSession` owns the frozen view, the
 shared-memory export, the warm process pool and this module's
-:class:`TerminalClosureCache`, and dispatches serial / thread-pool /
-process-pool runs. :class:`BatchSummarizer` remains as a thin deprecated
-shim over a private session so existing call sites keep working
-(bit-identical results, same report format) while emitting a
-``DeprecationWarning``.
+:class:`TerminalClosureCache`, and dispatches serial or process-pool
+runs that report through this module's :class:`BatchReport`.
 
-JSONL (de)serialization for task files lives here too — the CLI
-``batch`` subcommand reads one task per line.
+JSONL task files live here too — the CLI ``batch`` subcommand reads
+one task per line, in the :mod:`repro.api.protocol` task schema.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import threading
-import warnings
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
 from repro.core.explanation import SubgraphExplanation
 from repro.core.scenarios import SummaryTask
-from repro.core.summarizer import METHODS
-from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.shortest_paths import dijkstra_frozen
 
 
@@ -60,7 +53,7 @@ class TerminalClosureCache:
     Keyed by ``(source id, cost signature)``. An entry is reusable for a
     request whenever every requested target is in its settled set; on a
     miss the fresh run replaces the entry if it settled more nodes.
-    Thread-safe (the batch engine shares one cache across workers); the
+    Thread-safe (callers may share one cache across threads); the
     Dijkstra itself runs outside the lock, so concurrent misses on the
     same key merely duplicate work, never corrupt results.
     """
@@ -261,9 +254,11 @@ class BatchReport:
     store_hits: int = 0
     store_misses: int = 0
     workers: int = 0
+    #: Backend that ran the batch ("serial" or "processes") and, for the
+    #: pool, its dispatch discipline ("work-stealing"; "" when serial).
+    #: Both are free strings, so protocol-v1 reports naming a retired
+    #: backend ("threads") or scheduler ("chunked") still decode.
     parallel: str = "serial"
-    #: Dispatch discipline that produced this report: "work-stealing"
-    #: or "chunked" for pooled backends, "" for serial runs.
     scheduler: str = ""
     #: How many task re-queues (after worker crashes / deadline kills)
     #: this batch absorbed; 0 on an incident-free run. The companion
@@ -376,13 +371,10 @@ class BatchReport:
         return "\n".join(lines)
 
 
-#: Backend choices for :class:`BatchSummarizer`; None means "auto".
-PARALLEL_BACKENDS = ("serial", "threads", "processes")
-
 #: Counter attributes mirrored between caches and reports.
 _STAT_KEYS = ("hits", "misses", "store_hits", "store_misses")
 
-#: Infrastructure failures that demote the process backend to a local
+#: Infrastructure failures that demote the process backend to a serial
 #: run instead of failing the batch: shared-memory/pool setup errors,
 #: a broken pool (worker died in init), unpicklable inputs. Task-level
 #: exceptions (e.g. disconnected terminals) are *not* in this set — they
@@ -402,176 +394,12 @@ def _cache_counters(cache) -> dict[str, int]:
     return {key: getattr(cache, key) for key in _STAT_KEYS}
 
 
-class BatchSummarizer:
-    """Deprecated batch facade: many-task summarization over one graph.
-
-    .. deprecated::
-        Construct a :class:`repro.api.ExplanationSession` instead — it
-        replaces this class's kwarg sprawl with typed configs
-        (:class:`~repro.api.EngineConfig` /
-        :class:`~repro.api.CacheConfig` /
-        :class:`~repro.api.ParallelConfig`), keeps the frozen view,
-        shared-memory export and process pool warm *across* batches,
-        and adds per-request method routing plus a streaming iterator.
-
-    The shim delegates to a private session configured identically, so
-    results, the report format, backend auto-selection and the
-    local-fallback ``RuntimeWarning`` are unchanged. To preserve the
-    legacy resource contract, the pool and shared-memory export are
-    released after every :meth:`run` (nothing persists between calls
-    except the closure cache, exactly as before).
-
-    Parameters match the historical constructor: ``method`` ("ST",
-    "ST-fast", "PCST", "Union"), ``workers``, ``closure_cache_size``,
-    ``parallel`` ("serial" / "threads" /
-    "processes" / None for auto), ``chunk_size``, ``mp_start_method``,
-    and ``**params`` forwarded to the summarizer (lam,
-    weight_influence, prize_policy, use_edge_weights, strong_pruning,
-    engine, canonical). The shim rides the session's scheduler: batch
-    dispatch defaults to work-stealing (bit-identical results), with
-    ``scheduler="chunked"`` restoring static chunk dispatch.
-    """
-
-    #: Auto-backend thresholds (mirrors ExplanationSession, which owns
-    #: the resolution logic now): below either, worker startup + IPC
-    #: dominates and the local backends win.
-    AUTO_PROCESS_MIN_NODES = 4096
-    AUTO_PROCESS_MIN_TASKS = 8
-
-    #: Keyword params that map onto EngineConfig fields; anything else
-    #: is a typo and fails construction like the legacy facade did.
-    _ENGINE_PARAMS = frozenset(
-        (
-            "engine",
-            "canonical",
-            "lam",
-            "weight_influence",
-            "prize_policy",
-            "use_edge_weights",
-            "strong_pruning",
-        )
-    )
-
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        method: str = "ST",
-        workers: int = 0,
-        closure_cache_size: int = 4096,
-        parallel: str | None = None,
-        chunk_size: int | None = None,
-        mp_start_method: str | None = None,
-        scheduler: str | None = None,
-        **params,
-    ) -> None:
-        warnings.warn(
-            "BatchSummarizer is deprecated; use repro.api."
-            "ExplanationSession (typed configs, warm pooled execution, "
-            "streaming results) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if method not in METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {METHODS}"
-            )
-        unknown = set(params) - self._ENGINE_PARAMS
-        if unknown:
-            raise TypeError(
-                f"unexpected summarizer parameter(s) {sorted(unknown)}"
-            )
-        from repro.api import (
-            CacheConfig,
-            EngineConfig,
-            ExplanationSession,
-            ParallelConfig,
-            SchedulerConfig,
-        )
-
-        self.graph = graph
-        self.method = method
-        self.workers = workers
-        self.parallel = parallel
-        self.chunk_size = chunk_size
-        self.mp_start_method = mp_start_method or os.environ.get(
-            "REPRO_MP_START_METHOD"
-        ) or None
-        self.closure_cache_size = closure_cache_size
-        self.scheduler = scheduler
-        self._params = dict(params)
-        self._session = ExplanationSession(
-            graph,
-            engine=EngineConfig(**params),
-            cache=CacheConfig(closure_size=closure_cache_size),
-            parallel=ParallelConfig(
-                backend=parallel,
-                workers=workers,
-                chunk_size=chunk_size,
-                mp_start_method=self.mp_start_method,
-            ),
-            scheduler=(
-                SchedulerConfig(mode=scheduler)
-                if scheduler is not None
-                else None
-            ),
-            default_method=method,
-        )
-
-    @property
-    def closure_cache(self):
-        """The session-owned closure cache (ST only; None otherwise).
-
-        The legacy class built this eagerly in ``__init__``; the shim
-        materializes the session's cache on access so counter reads
-        (``cache.hits`` etc.) keep working without an AttributeError.
-        """
-        if self.method != "ST":
-            return None
-        return self._session._ensure_closure_cache()
-
-    def run(self, tasks: Iterable[SummaryTask]) -> BatchReport:
-        """Summarize every task; per-task timings in the report."""
-        try:
-            return self._session.run(list(tasks))
-        finally:
-            # Legacy runs never kept worker processes or shared-memory
-            # blocks alive between calls; the shim keeps that contract
-            # (warm reuse is the session's feature, not this facade's).
-            self._session.release_pool()
-
-
 # ----------------------------------------------------------------------
 # JSONL task files (one task per line) for the CLI `batch` subcommand.
-# The task codec itself moved to repro.api.protocol (the versioned
-# over-the-wire schema shared with the network tier); the old names
-# remain as thin deprecated wrappers, and the JSONL helpers route
-# through the protocol module without warning — file I/O stays a
-# batch-layer concern, only the schema ownership moved.
+# The task schema is repro.api.protocol's (the versioned over-the-wire
+# schema shared with the network tier); file I/O stays a batch-layer
+# concern.
 # ----------------------------------------------------------------------
-def task_to_json(task: SummaryTask) -> dict:
-    """Plain-JSON form of a task (inverse of :func:`task_from_json`).
-
-    .. deprecated::
-        Moved to :func:`repro.api.protocol.task_to_json`.
-    """
-    from repro.api import protocol
-
-    protocol._warn_legacy("task_to_json")
-    return protocol.task_to_json(task)
-
-
-def task_from_json(data: dict) -> SummaryTask:
-    """Build a task from its JSON form; raises on malformed input.
-
-    .. deprecated::
-        Moved to :func:`repro.api.protocol.task_from_json`.
-    """
-    from repro.api import protocol
-
-    protocol._warn_legacy("task_from_json")
-    return protocol.task_from_json(data)
-
-
 def load_tasks_jsonl(path: str | FilePath) -> list[SummaryTask]:
     """Read tasks from a JSONL file, skipping blank lines."""
     from repro.api import protocol

@@ -70,7 +70,7 @@ class PCSTSummarizer:
         Magnitude of the non-terminal prize for the centrality/item
         policies (must stay < 1 so terminals dominate).
     engine:
-        "frozen" (default; "csr" is an alias) runs the Algorithm 2
+        "frozen" (default) runs the Algorithm 2
         growth pass on the graph's cached CSR view with an indexed heap
         and array-backed disjoint set; "dict" forces the original
         adjacency walk. Both produce bit-identical forests ("dict" is
@@ -79,7 +79,7 @@ class PCSTSummarizer:
 
     method = "PCST"
 
-    ENGINES = ("frozen", "csr", "dict")
+    ENGINES = ("frozen", "dict")
 
     def __init__(
         self,
@@ -103,7 +103,7 @@ class PCSTSummarizer:
         self.strong_pruning = strong_pruning
         self.prune_leaves = prune_leaves
         self.side_prize = side_prize
-        self.engine = "frozen" if engine == "csr" else engine
+        self.engine = engine
         # Version-keyed derived state: recomputed if the graph mutates.
         self._max_degree_cache: tuple[int, int] | None = None
         self._pagerank_cache: tuple[int, dict[str, float]] | None = None

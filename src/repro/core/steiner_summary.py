@@ -34,14 +34,14 @@ class SteinerSummarizer:
         O(|T|·(|E| + |V| log |V|))) — or "mehlhorn", the single-sweep
         2-approximation offered as the §VII "refinement" ablation.
     engine:
-        "frozen" (default; "csr" is an alias) runs the traversal hot
-        loops on the graph's cached CSR view (see
-        :meth:`KnowledgeGraph.freeze`), re-freezing automatically when
-        the graph has been mutated — the KMB metric closure for "kmb",
-        the single multi-source Voronoi sweep for "mehlhorn". "dict"
-        forces the original dict-of-dicts traversal. Both engines
-        produce identical trees (tie-breaking included); "dict" exists
-        as the parity oracle and escape hatch.
+        "frozen" (default) runs the traversal hot loops on the graph's
+        cached CSR view (see :meth:`KnowledgeGraph.freeze`),
+        re-freezing automatically when the graph has been mutated — the
+        KMB metric closure for "kmb", the single multi-source Voronoi
+        sweep for "mehlhorn". "dict" forces the original dict-of-dicts
+        traversal. Both engines produce identical trees (tie-breaking
+        included); "dict" exists as the parity oracle and escape
+        hatch.
     closure_cache:
         Optional terminal-closure memoizer (duck-typed; see
         :class:`repro.core.batch.TerminalClosureCache`). Shared across
@@ -62,7 +62,7 @@ class SteinerSummarizer:
 
     method = "ST"
 
-    ENGINES = ("frozen", "csr", "dict")
+    ENGINES = ("frozen", "dict")
 
     def __init__(
         self,
@@ -86,7 +86,7 @@ class SteinerSummarizer:
         self.lam = lam
         self.weight_influence = weight_influence
         self.algorithm = algorithm
-        self.engine = "frozen" if engine == "csr" else engine
+        self.engine = engine
         self.closure_cache = closure_cache
         self.canonical = canonical
 

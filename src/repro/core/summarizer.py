@@ -20,7 +20,7 @@ from repro.graph.knowledge_graph import KnowledgeGraph
 
 METHODS = ("ST", "ST-fast", "PCST", "Union")
 
-ENGINES = ("frozen", "csr", "dict")
+ENGINES = ("frozen", "dict")
 
 
 class Summarizer:
@@ -38,14 +38,14 @@ class Summarizer:
         PCST parameters.
     engine:
         Traversal backend for the graph-algorithm methods (ST, ST-fast,
-        PCST): "frozen" (CSR fast path, default; "csr" is an alias) or
-        "dict" (the original adjacency walk). Identical outputs; see
+        PCST): "frozen" (CSR fast path, default) or "dict" (the
+        original adjacency walk). Identical outputs; see
         :class:`~repro.core.steiner_summary.SteinerSummarizer` and
         :class:`~repro.core.pcst_summary.PCSTSummarizer`. Union builds
         straight from the task's paths and has no traversal to switch.
     closure_cache:
-        Optional shared terminal-closure memoizer for ST (used by
-        :class:`~repro.core.batch.BatchSummarizer`).
+        Optional shared terminal-closure memoizer for ST (the
+        :class:`~repro.api.ExplanationSession` passes its own).
     canonical:
         ST only: canonical-SPT tie-breaking (deterministic min-id
         predecessor choice from final distances; default on). See

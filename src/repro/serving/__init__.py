@@ -3,9 +3,9 @@
 The in-process pieces, consumed by
 :class:`repro.api.ExplanationSession`:
 
-- :class:`SchedulerConfig` (:mod:`repro.serving.config`) — dispatch
-  discipline ("work-stealing" / "chunked") and the elastic-pool bounds
-  (``min_workers`` / ``max_workers``, grow pressure, idle shrink).
+- :class:`SchedulerConfig` (:mod:`repro.serving.config`) — the
+  elastic-pool bounds (``min_workers`` / ``max_workers``, grow
+  pressure, idle shrink).
 - :class:`ResilienceConfig` (:mod:`repro.serving.config`) — per-task
   retry budget, per-task deadline, and the worker-respawn circuit
   breaker governing supervised recovery.
@@ -46,11 +46,9 @@ session, so eager re-export would be circular.
 
 from repro.serving.config import (
     FSYNC_POLICIES,
-    SCHEDULER_MODES,
     JournalConfig,
     ResilienceConfig,
     SchedulerConfig,
-    static_chunks,
 )
 from repro.serving.faults import (
     FAULT_KINDS,
@@ -85,7 +83,6 @@ _NETWORK_EXPORTS = {
 __all__ = [
     "FAULT_KINDS",
     "FSYNC_POLICIES",
-    "SCHEDULER_MODES",
     "JournalConfig",
     "ElasticWorkerPool",
     "Fault",
@@ -96,7 +93,6 @@ __all__ = [
     "WireExplanation",
     "decode_explanation",
     "encode_explanation",
-    "static_chunks",
     *sorted(_NETWORK_EXPORTS),
 ]
 

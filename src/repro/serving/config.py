@@ -1,53 +1,37 @@
 """Scheduler and resilience configuration for the serving layer.
 
-One frozen dataclass governs *how a batch's tasks reach workers* —
-orthogonal to :class:`repro.api.ParallelConfig`, which picks the backend
-(serial / threads / processes) and the nominal pool size. The scheduler
-decides what happens once a backend is chosen:
-
-- ``mode="work-stealing"`` (default): every task goes into one shared
-  queue and each worker pulls the next task the moment it is free, so a
-  slow group task occupies exactly one worker instead of stalling a
-  whole pre-assigned chunk. Under the process backend this also enables
-  the elastic pool (grow under queue pressure, shrink back on idle) and
-  per-task result streaming.
-- ``mode="chunked"``: the pre-scheduler behavior — tasks are split into
-  static ``ceil(n / (4 * workers))`` chunks submitted as indivisible
-  units. Kept as the fallback for spawn-constrained platforms (one
-  worker round-trip per chunk instead of per task) and as the baseline
-  the work-stealing CI gate measures against.
+One frozen dataclass sizes the *work-stealing worker pool* behind the
+process backend — orthogonal to :class:`repro.api.ParallelConfig`,
+which picks the backend (serial / processes) and the nominal pool
+size. Every task goes into one shared queue and each worker pulls the
+next task the moment it is free, so a slow group task occupies exactly
+one worker; :class:`SchedulerConfig` bounds how that pool grows under
+queue pressure and shrinks back on idle.
 
 A second frozen dataclass, :class:`ResilienceConfig`, governs *what
-happens when workers misbehave* on the work-stealing process backend:
-how many times a crashed or timed-out task is re-queued before it
-fails individually (as a typed
-:class:`~repro.core.batch.TaskFailure`), how long a single task may
-run before its worker is terminated and replaced, and how many worker
-respawns the pool tolerates before tripping the circuit breaker back
-to the session's whole-batch local fallback.
+happens when workers misbehave* on the process backend: how many
+times a crashed or timed-out task is re-queued before it fails
+individually (as a typed :class:`~repro.core.batch.TaskFailure`), how
+long a single task may run before its worker is terminated and
+replaced, and how many worker respawns the pool tolerates before
+tripping the circuit breaker back to the session's whole-batch local
+fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Valid dispatch disciplines.
-SCHEDULER_MODES = ("work-stealing", "chunked")
-
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """How batch tasks are handed to workers.
+    """Bounds of the elastic work-stealing worker pool.
 
     Parameters
     ----------
-    mode:
-        "work-stealing" (shared task queue, per-task pulls, elastic
-        pool, per-task streaming — the default) or "chunked" (static
-        chunk dispatch, the legacy discipline).
     min_workers:
         Elastic-pool floor: idle shrink never retires below this many
-        workers (process backend, work-stealing mode only).
+        workers.
     max_workers:
         Elastic-pool ceiling. 0 (default) means "the larger of the
         initial pool size and the CPU count" — so a pool pinned below
@@ -68,18 +52,12 @@ class SchedulerConfig:
         thread.
     """
 
-    mode: str = "work-stealing"
     min_workers: int = 1
     max_workers: int = 0
     grow_pressure: float = 2.0
     shrink_idle_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.mode not in SCHEDULER_MODES:
-            raise ValueError(
-                f"unknown scheduler mode {self.mode!r}; expected one of "
-                f"{SCHEDULER_MODES}"
-            )
         if self.min_workers < 1:
             raise ValueError("min_workers must be >= 1")
         if self.max_workers < 0:
@@ -94,7 +72,7 @@ class SchedulerConfig:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Per-task blast radius under the work-stealing process backend.
+    """Per-task blast radius under the process backend.
 
     Parameters
     ----------
@@ -182,16 +160,3 @@ class JournalConfig:
         if self.compact_every_records < 0:
             raise ValueError("compact_every_records must be >= 0 (0 = off)")
 
-
-def static_chunks(items: list, workers: int, chunk_size: int | None) -> list:
-    """Split ``items`` into the legacy static chunks.
-
-    ``chunk_size`` overrides; the default is ``ceil(n / (4 * workers))``
-    — the formula the chunked scheduler has always used, shared here so
-    the session's process and thread paths (and the benchmark that
-    gates work-stealing against it) all chunk identically.
-    """
-    if not items:
-        return []
-    size = chunk_size or max(1, -(-len(items) // (4 * max(1, workers))))
-    return [items[i : i + size] for i in range(0, len(items), size)]

@@ -1,18 +1,17 @@
 """Elastic work-stealing worker pool over the shared-memory graph plane.
 
-The chunked process backend pre-splits a batch into static chunks and
-hands each to ``ProcessPoolExecutor`` as an indivisible unit: one slow
-group task stalls every task behind it in its chunk, results surface a
-whole chunk at a time, and the pool's size is frozen at first spawn.
-This module replaces all three properties for the serving layer:
+This is the session's one parallel backend. A static schedule would
+pre-split a batch into chunks, so one slow group task would stall
+every task behind it in its chunk, results would surface a whole chunk
+at a time, and the pool's size would be frozen at first spawn. The
+pool avoids all three:
 
 - **Shared task queue, per-task pulls.** The parent puts every job on
   one ``multiprocessing.Queue``; each worker takes the next job the
   moment it finishes its current one. Scheduling is emergent — a heavy
   task simply occupies one worker while the others drain the queue.
 - **Steal accounting.** Jobs are nominally assigned round-robin at
-  submission (job *i* → worker slot ``i % pool``, the static-chunk
-  layout); a job finished by any other worker counts as a *steal*, so
+  submission (job *i* → worker slot ``i % pool``); a job finished by any other worker counts as a *steal*, so
   ``ElasticWorkerPool.steals`` measures exactly the rebalancing a
   static schedule would have missed.
 - **Elastic sizing.** While draining, the parent grows the pool one
@@ -25,7 +24,7 @@ This module replaces all three properties for the serving layer:
 - **Per-task result pipe.** Every finished job is posted to a result
   queue as a compact :mod:`repro.serving.wire` payload with its
   worker-measured latency and closure-cache counter delta — the parent
-  streams results in completion order instead of chunk order.
+  streams results in completion order.
 
 Dispatches are multiplexed: every job and result is tagged with a
 dispatch id, and results that belong to another (still-open) dispatch
@@ -89,9 +88,7 @@ Job = tuple
 TaskResult = tuple
 
 #: Worker-side state (graph, frozen view, cache, summarizer memo), one
-#: per process — shared by the work-stealing workers here and the
-#: chunked executor workers in :mod:`repro.api.session`, so both paths
-#: memoize summarizers identically.
+#: per worker process.
 _WORKER: dict = {}
 
 

@@ -27,8 +27,8 @@ Architecture
   session's scheduler yields it: a pump on the session thread pushes
   results into an asyncio queue via ``call_soon_threadsafe`` and the
   handler writes one ``result`` frame per item, then an ``end`` frame
-  with the count. Under work-stealing dispatch the first frame leaves
-  the server while later tasks are still computing.
+  with the count. On the process backend the first frame leaves the
+  server while later tasks are still computing.
 - **Mutation RPCs.** ``mutate`` applies graph edits on the session
   thread (serialized against in-flight runs). Edits bump the graph's
   version counter, which the session's ``_refresh`` notices on the
@@ -448,11 +448,7 @@ class ExplanationServer:
                     or now - host.last_active < ttl
                 ):
                     continue
-                if (
-                    session._pool is None
-                    and session._steal_pool is None
-                    and session._export is None
-                ):
+                if session._steal_pool is None and session._export is None:
                     continue  # nothing pooled to release
                 # On the session thread: serialized behind any work
                 # admitted between this check and the call.

@@ -26,6 +26,7 @@ from repro.api import (
     register_method,
     unregister_method,
 )
+from repro.cache import ClosureStoreConfig
 from repro.core.scenarios import Scenario, SummaryTask
 from repro.core.summarizer import METHODS, Summarizer
 from repro.graph.knowledge_graph import KnowledgeGraph
@@ -278,18 +279,15 @@ class TestWarmResources:
 
 
 class TestStreaming:
-    """stream() yields results as chunks complete, covering the batch."""
+    """stream() yields results as tasks complete, covering the batch."""
 
     @pytest.mark.parametrize(
         "parallel",
         [
             ParallelConfig(),
-            ParallelConfig(backend="threads", workers=2),
-            ParallelConfig(
-                backend="processes", workers=2, chunk_size=2
-            ),
+            ParallelConfig(backend="processes", workers=2),
         ],
-        ids=["serial", "threads", "processes"],
+        ids=["serial", "processes"],
     )
     def test_stream_covers_batch_with_identical_results(self, parallel):
         graph = small_graph()
@@ -327,6 +325,144 @@ class TestStreaming:
             list(session.stream(tasks))
             assert session.stats.pool_starts == 1
             assert session.stats.exports == 1
+
+
+class TestRunFoldsStream:
+    """run() drains the same completion-order dispatch stream() yields:
+    results sorted back into input order, per-task deltas summed."""
+
+    @pytest.mark.parametrize("name", sorted(METHOD_NAMES))
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_run_matches_stream(
+        self, backend, name, test_bench, scenario_tasks
+    ):
+        requests = [
+            SummaryRequest(task=task, method=name)
+            for pool in scenario_tasks.values()
+            for task in pool
+        ]
+        with ExplanationSession(
+            test_bench.graph,
+            parallel=ParallelConfig(backend=backend, workers=2),
+        ) as session:
+            report = session.run(requests)
+            streamed = list(session.stream(requests))
+        assert report.parallel == backend
+        assert report.method == METHOD_NAMES[name]
+        indices = list(range(len(requests)))
+        assert [r.index for r in report.results] == indices
+        assert sorted(r.index for r in streamed) == indices
+        by_index = {r.index: r for r in streamed}
+        for result in report.results:
+            assert result.ok and by_index[result.index].ok
+            assert canonical(by_index[result.index].explanation) == (
+                canonical(result.explanation)
+            ), result.index
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_report_counters_are_the_summed_task_deltas(
+        self, backend, test_bench, scenario_tasks
+    ):
+        """The deltas run() sums into the report agree with the shared
+        store's own lifetime counters, and every closure lookup is
+        counted exactly once, whichever cache served it."""
+        tasks = [t for pool in scenario_tasks.values() for t in pool] * 2
+        with ExplanationSession(test_bench.graph) as reference:
+            serial = reference.run(tasks)
+        with ExplanationSession(
+            test_bench.graph,
+            parallel=ParallelConfig(backend=backend, workers=2),
+            store=ClosureStoreConfig(enabled=True),
+        ) as session:
+            report = session.run(tasks)
+            stats = session.stats
+        assert report.parallel == backend
+        assert report.cache_misses > 0
+        assert report.cache_hits > 0  # the second pass repeats the first
+        assert report.cache_hits + report.cache_misses == (
+            serial.cache_hits + serial.cache_misses
+        )
+        assert report.store_misses > 0
+        assert (report.store_hits, report.store_misses) == (
+            stats.store_hits,
+            stats.store_misses,
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_empty_batch_folds_to_empty_report(self, backend):
+        with ExplanationSession(
+            small_graph(),
+            parallel=ParallelConfig(backend=backend, workers=2),
+        ) as session:
+            report = session.run([])
+            assert list(session.stream([])) == []
+            assert session.stats.pool_starts == 0
+        assert report.results == ()
+        assert report.parallel == "serial"
+        assert (report.cache_hits, report.cache_misses) == (0, 0)
+
+    def test_stream_demotes_when_export_fails(self, monkeypatch):
+        from repro.graph.csr import FrozenGraph
+
+        def broken_export(self):
+            raise OSError("no shared memory on this box")
+
+        monkeypatch.setattr(FrozenGraph, "to_shared", broken_export)
+        graph = small_graph()
+        tasks = [small_task() for _ in range(3)]
+        expected = [
+            Summarizer(graph, method="ST").summarize(task) for task in tasks
+        ]
+        with ExplanationSession(
+            graph, parallel=ParallelConfig(backend="processes")
+        ) as session:
+            with pytest.warns(RuntimeWarning, match="process backend"):
+                streamed = list(session.stream(tasks))
+            assert session.stats.local_fallbacks == 1
+            assert session.stats.pool_starts == 0
+        assert [r.index for r in streamed] == [0, 1, 2]
+        for exp, result in zip(expected, streamed):
+            assert canonical(exp) == canonical(result.explanation)
+
+    def test_run_demotes_when_pool_breaks_mid_drain(self, monkeypatch):
+        """A pool failure after results started landing still demotes
+        the whole batch to one serial rerun, not a partial report."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.serving.pool import ElasticWorkerPool
+
+        dispatch = ElasticWorkerPool.dispatch
+
+        def breaks_after_one_result(self, jobs, trace=None):
+            drain = dispatch(self, jobs, trace=trace)
+
+            def results():
+                try:
+                    yield next(drain)
+                    raise BrokenProcessPool("worker vanished mid-drain")
+                finally:
+                    drain.close()
+
+            return results()
+
+        monkeypatch.setattr(
+            ElasticWorkerPool, "dispatch", breaks_after_one_result
+        )
+        graph = small_graph()
+        tasks = [small_task() for _ in range(4)]
+        expected = [
+            Summarizer(graph, method="ST").summarize(task) for task in tasks
+        ]
+        with ExplanationSession(
+            graph, parallel=ParallelConfig(backend="processes", workers=2)
+        ) as session:
+            with pytest.warns(RuntimeWarning, match="mid-drain"):
+                report = session.run(tasks)
+            assert session.stats.local_fallbacks == 1
+        assert report.parallel == "serial"
+        assert [r.index for r in report.results] == [0, 1, 2, 3]
+        for exp, result in zip(expected, report.results):
+            assert canonical(exp) == canonical(result.explanation)
 
 
 class TestRegistry:
@@ -418,8 +554,22 @@ class TestConfigs:
             ParallelConfig(backend="gpu")
         with pytest.raises(ValueError, match="workers"):
             ParallelConfig(workers=-1)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelConfig(chunk_size=0)
+
+    def test_threads_backend_is_gone(self):
+        """The thread-pool backend was retired (it ran below serial speed
+        on these GIL-bound traversals); naming it now fails loudly."""
+        with pytest.raises(ValueError, match="parallel backend 'threads'"):
+            ParallelConfig(backend="threads")
+
+    def test_chunk_size_is_gone(self):
+        """Static chunks went with the chunked scheduler: the
+        work-stealing pool hands out one task per pull."""
+        with pytest.raises(TypeError, match="chunk_size"):
+            ParallelConfig(backend="processes", chunk_size=4)
+
+    def test_csr_engine_alias_is_gone(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            EngineConfig(engine="csr")
 
     def test_unknown_override_is_rejected(self):
         with ExplanationSession(small_graph()) as session:
@@ -432,20 +582,6 @@ class TestConfigs:
 
 
 class TestDeprecatedShim:
-    def test_batch_summarizer_warns_and_matches_session(self, test_bench):
-        from repro.core.batch import BatchSummarizer
-
-        tasks = list(
-            test_bench.tasks(Scenario.USER_CENTRIC, "PGPR", 4).values()
-        )
-        with pytest.warns(DeprecationWarning, match="BatchSummarizer"):
-            shim = BatchSummarizer(test_bench.graph, method="ST")
-        legacy = shim.run(tasks)
-        with ExplanationSession(test_bench.graph) as session:
-            fresh = session.run(tasks)
-        for a, b in zip(legacy.results, fresh.results):
-            assert canonical(a.explanation) == canonical(b.explanation)
-
     def test_session_construction_does_not_warn(self, test_bench):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -461,39 +597,26 @@ class TestDeprecatedShim:
                 )
 
 
-class TestChunkedTimeoutWarning:
-    """Satellite of the closure-store PR: the chunked scheduler cannot
-    enforce per-task deadlines (no task leases), so a session armed
-    with both must say so at construction, not silently ignore the
-    knob."""
+class TestRetiredSurface:
+    """The batch shim, its JSON aliases, the incremental summarizer and
+    the chunked scheduler's helpers are gone, not merely deprecated."""
 
-    def test_chunked_plus_timeout_warns_at_construction(self):
-        from repro.api import ResilienceConfig, SchedulerConfig
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core", "BatchSummarizer"),
+            ("repro.core.batch", "BatchSummarizer"),
+            ("repro.core.batch", "task_to_json"),
+            ("repro.core.batch", "task_from_json"),
+            ("repro.core", "IncrementalSteinerSummarizer"),
+            ("repro.serving", "static_chunks"),
+            ("repro.serving", "SCHEDULER_MODES"),
+        ],
+    )
+    def test_name_is_not_exported(self, module, name):
+        import importlib
 
-        with pytest.warns(
-            RuntimeWarning, match="ignored by the chunked scheduler"
-        ):
-            session = ExplanationSession(
-                small_graph(),
-                scheduler=SchedulerConfig(mode="chunked"),
-                resilience=ResilienceConfig(task_timeout_seconds=1.0),
-            )
-        session.close()
-
-    def test_quiet_without_the_conflicting_pair(self):
-        from repro.api import ResilienceConfig, SchedulerConfig
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            # Chunked without a deadline: fine.
-            ExplanationSession(
-                small_graph(), scheduler=SchedulerConfig(mode="chunked")
-            ).close()
-            # Deadline under work-stealing: enforced, hence quiet.
-            ExplanationSession(
-                small_graph(),
-                resilience=ResilienceConfig(task_timeout_seconds=1.0),
-            ).close()
+        assert not hasattr(importlib.import_module(module), name)
 
 
 class TestPluginHandshake:
@@ -579,7 +702,7 @@ class TestPluginHandshake:
                     report = session.run(
                         [SummaryRequest(task=task, method="plugin-st")]
                     )
-                assert report.parallel in ("serial", "threads")
+                assert report.parallel == "serial"
         finally:
             unregister_method("plugin-st")
             sys.modules.pop("st_plugin_mod", None)

@@ -2,10 +2,10 @@
 
 The acceptance contract of the cross-worker store:
 
-- summaries are **bit-identical** with the store on vs. off, on every
-  backend × scheduler combination;
+- summaries are **bit-identical** with the store on vs. off, on both
+  backends;
 - ``SessionStats`` surfaces the store counters, and the process
-  backends see real cross-worker hits;
+  backend sees real cross-worker hits;
 - no ``/dev/shm`` residue after teardown, invalidation, or ``kill -9``
   of the owning process (the resource tracker unlinks on its behalf);
 - eviction under concurrent dispatch (two overlapping ``stream()``
@@ -29,7 +29,6 @@ from repro.api import (
     ClosureStoreConfig,
     ExplanationSession,
     ParallelConfig,
-    SchedulerConfig,
 )
 from repro.core.scenarios import Scenario, SummaryTask
 from repro.graph.generators import SyntheticSpec, generate_random_kg
@@ -106,13 +105,12 @@ def canonical(report) -> list:
     return out
 
 
-def run_session(graph, tasks, *, store, backend, mode) -> tuple:
+def run_session(graph, tasks, *, store, backend) -> tuple:
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         session = ExplanationSession(
             graph,
             parallel=ParallelConfig(backend=backend, workers=2),
-            scheduler=SchedulerConfig(mode=mode),
             store=store,
         )
         with session:
@@ -122,25 +120,16 @@ def run_session(graph, tasks, *, store, backend, mode) -> tuple:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize(
-        ("backend", "mode"),
-        [
-            ("serial", "work-stealing"),
-            ("threads", "work-stealing"),
-            ("threads", "chunked"),
-            ("processes", "work-stealing"),
-            ("processes", "chunked"),
-        ],
-    )
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     @pytest.mark.parametrize("task_maker", [shared_tasks, boosted_tasks])
-    def test_store_on_matches_store_off(self, backend, mode, task_maker):
+    def test_store_on_matches_store_off(self, backend, task_maker):
         graph = synthetic_graph()
         tasks = task_maker(graph, 12)
         baseline, _report, _stats = run_session(
-            graph, tasks, store=None, backend=backend, mode=mode
+            graph, tasks, store=None, backend=backend
         )
         stored, report, stats = run_session(
-            graph, tasks, store=STORE, backend=backend, mode=mode
+            graph, tasks, store=STORE, backend=backend
         )
         assert stored == baseline
         # The store was really in play, not silently disabled.
@@ -157,7 +146,6 @@ class TestStats:
             tasks,
             store=STORE,
             backend="processes",
-            mode="work-stealing",
         )
         assert report.store_hits > 0  # a sibling's run was reused
         assert stats.store_hits > 0
@@ -185,7 +173,6 @@ class TestStats:
             tasks,
             store=STORE,
             backend="processes",
-            mode="work-stealing",
         )
         assert "store" in report.summary()
 
@@ -294,7 +281,6 @@ class TestEvictionUnderDispatch:
             tasks,
             store=None,
             backend="processes",
-            mode="work-stealing",
         )
         tiny = ClosureStoreConfig(
             enabled=True,

@@ -1,13 +1,14 @@
-"""BatchSummarizer: parity with the per-task facade, caching, staleness."""
+"""Batch runs: parity with the per-task facade, caching, staleness."""
 
 import pytest
 
-# The task codec moved to the versioned protocol module; the batch
-# names survive only as deprecated shims (pinned in
-# tests/serving/test_protocol.py).
+from repro.api import (
+    EngineConfig,
+    ExplanationSession,
+    ParallelConfig,
+)
 from repro.api.protocol import task_from_json, task_to_json
 from repro.core.batch import (
-    BatchSummarizer,
     TerminalClosureCache,
     dump_tasks_jsonl,
     load_tasks_jsonl,
@@ -16,6 +17,22 @@ from repro.core.scenarios import Scenario, SummaryTask
 from repro.core.summarizer import METHODS, Summarizer
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.paths import Path
+
+
+def batch_session(graph, method="ST", *, backend=None, workers=0, **engine):
+    """A session set up like one batch job: method, backend, engine knobs."""
+    return ExplanationSession(
+        graph,
+        engine=EngineConfig(**engine),
+        parallel=ParallelConfig(backend=backend, workers=workers),
+        default_method=method,
+    )
+
+
+def run_batch(graph, tasks, method="ST", **options):
+    """One batch on a fresh session, closed (pool and export) afterwards."""
+    with batch_session(graph, method, **options) as session:
+        return session.run(tasks)
 
 
 def canonical(explanation):
@@ -44,22 +61,10 @@ class TestParityWithSummarizer:
             Summarizer(test_bench.graph, method=method).summarize(task)
             for task in bench_tasks
         ]
-        report = BatchSummarizer(test_bench.graph, method=method).run(
-            bench_tasks
-        )
+        report = run_batch(test_bench.graph, bench_tasks, method)
         assert len(report.results) == len(bench_tasks)
         for exp, result in zip(expected, report.results):
             assert canonical(exp) == canonical(result.explanation)
-
-    def test_workers_do_not_change_results(self, test_bench, bench_tasks):
-        sequential = BatchSummarizer(test_bench.graph, method="ST").run(
-            bench_tasks
-        )
-        threaded = BatchSummarizer(
-            test_bench.graph, method="ST", workers=4
-        ).run(bench_tasks)
-        for a, b in zip(sequential.results, threaded.results):
-            assert canonical(a.explanation) == canonical(b.explanation)
 
     def test_dict_and_frozen_engines_agree(self, test_bench, bench_tasks):
         frozen_engine = Summarizer(test_bench.graph, method="ST")
@@ -74,9 +79,7 @@ class TestParityWithSummarizer:
 
 class TestReportAndCache:
     def test_report_fields(self, test_bench, bench_tasks):
-        report = BatchSummarizer(test_bench.graph, method="ST").run(
-            bench_tasks
-        )
+        report = run_batch(test_bench.graph, bench_tasks, "ST")
         assert report.method == "ST"
         assert report.total_seconds > 0
         assert len(report.task_seconds) == len(bench_tasks)
@@ -85,17 +88,13 @@ class TestReportAndCache:
         assert "batch method=ST" in report.summary()
 
     def test_repeated_task_hits_cache(self, test_bench, bench_tasks):
-        report = BatchSummarizer(test_bench.graph, method="ST").run(
-            bench_tasks
-        )
+        report = run_batch(test_bench.graph, bench_tasks, "ST")
         # The workload repeats its first task, so at least that task's
         # closure Dijkstras must come from the cache.
         assert report.cache_hits > 0
 
     def test_non_st_methods_skip_cache(self, test_bench, bench_tasks):
-        report = BatchSummarizer(test_bench.graph, method="Union").run(
-            bench_tasks
-        )
+        report = run_batch(test_bench.graph, bench_tasks, "Union")
         assert report.cache_hits == 0 and report.cache_misses == 0
 
     def test_throughput_guards_near_zero_elapsed(self):
@@ -181,9 +180,9 @@ class TestReportAndCache:
 
     def test_rejects_unknown_method_and_workers(self, test_bench):
         with pytest.raises(ValueError, match="unknown method"):
-            BatchSummarizer(test_bench.graph, method="nope")
+            batch_session(test_bench.graph, method="nope")
         with pytest.raises(ValueError, match="workers"):
-            BatchSummarizer(test_bench.graph, workers=-1)
+            batch_session(test_bench.graph, workers=-1)
 
 
 class TestDisjointBoosts:
@@ -230,7 +229,7 @@ class TestDisjointBoosts:
             Summarizer(graph, method="ST", lam=2.0).summarize(task)
             for task in tasks
         ]
-        report = BatchSummarizer(graph, method="ST", lam=2.0).run(tasks)
+        report = run_batch(graph, tasks, "ST", lam=2.0)
         assert report.cache_hits == 0  # no two tasks share a signature
         for expected, result in zip(fresh, report.results):
             assert canonical(expected) == canonical(result.explanation)
@@ -243,51 +242,49 @@ class TestProcessBackend:
     def test_backends_produce_identical_output(
         self, method, test_bench, bench_tasks
     ):
-        serial = BatchSummarizer(
-            test_bench.graph, method=method, parallel="serial"
-        ).run(bench_tasks)
-        threaded = BatchSummarizer(
-            test_bench.graph, method=method, parallel="threads", workers=2
-        ).run(bench_tasks)
-        processes = BatchSummarizer(
-            test_bench.graph, method=method, parallel="processes", workers=2
-        ).run(bench_tasks)
+        serial = run_batch(
+            test_bench.graph, bench_tasks, method, backend="serial"
+        )
+        processes = run_batch(
+            test_bench.graph,
+            bench_tasks,
+            method,
+            backend="processes",
+            workers=2,
+        )
         assert serial.parallel == "serial"
-        assert threaded.parallel == "threads"
         assert processes.parallel == "processes"
-        for a, b, c in zip(
-            serial.results, threaded.results, processes.results
-        ):
-            assert (
-                canonical(a.explanation)
-                == canonical(b.explanation)
-                == canonical(c.explanation)
-            )
+        for a, b in zip(serial.results, processes.results):
+            assert canonical(a.explanation) == canonical(b.explanation)
 
     def test_boosted_lambda_parity_across_backends(self, test_bench):
         tasks = list(
             test_bench.tasks(Scenario.USER_CENTRIC, "PGPR", 4).values()
         )
-        serial = BatchSummarizer(
-            test_bench.graph, method="ST", lam=2.0, parallel="serial"
-        ).run(tasks)
-        processes = BatchSummarizer(
-            test_bench.graph, method="ST", lam=2.0, parallel="processes",
+        serial = run_batch(
+            test_bench.graph, tasks, "ST", lam=2.0, backend="serial"
+        )
+        processes = run_batch(
+            test_bench.graph,
+            tasks,
+            "ST",
+            lam=2.0,
+            backend="processes",
             workers=2,
-        ).run(tasks)
+        )
         for a, b in zip(serial.results, processes.results):
             assert canonical(a.explanation) == canonical(b.explanation)
 
     def test_report_merges_worker_timings_and_counters(
         self, test_bench, bench_tasks
     ):
-        report = BatchSummarizer(
+        report = run_batch(
             test_bench.graph,
-            method="ST",
-            parallel="processes",
+            bench_tasks,
+            "ST",
+            backend="processes",
             workers=2,
-            chunk_size=1,
-        ).run(bench_tasks)
+        )
         assert report.parallel == "processes"
         assert report.workers == 2
         assert [r.index for r in report.results] == list(
@@ -309,9 +306,13 @@ class TestProcessBackend:
             for name in os.listdir("/dev/shm")
             if name.startswith("rxg")
         }
-        BatchSummarizer(
-            test_bench.graph, method="ST", parallel="processes", workers=2
-        ).run(bench_tasks)
+        run_batch(
+            test_bench.graph,
+            bench_tasks,
+            "ST",
+            backend="processes",
+            workers=2,
+        )
         after = {
             name
             for name in os.listdir("/dev/shm")
@@ -328,11 +329,10 @@ class TestProcessBackend:
             raise OSError("no shared memory on this box")
 
         monkeypatch.setattr(FrozenGraph, "to_shared", broken_export)
-        engine = BatchSummarizer(
-            test_bench.graph, method="ST", parallel="processes"
-        )
         with pytest.warns(RuntimeWarning, match="process backend"):
-            report = engine.run(bench_tasks)
+            report = run_batch(
+                test_bench.graph, bench_tasks, "ST", backend="processes"
+            )
         assert report.parallel == "serial"
         expected = [
             Summarizer(test_bench.graph, method="ST").summarize(task)
@@ -344,16 +344,16 @@ class TestProcessBackend:
     def test_auto_backend_stays_local_on_small_graphs(
         self, test_bench, bench_tasks
     ):
-        engine = BatchSummarizer(test_bench.graph, method="ST", workers=2)
-        assert test_bench.graph.num_nodes < engine.AUTO_PROCESS_MIN_NODES
-        report = engine.run(bench_tasks)
-        assert report.parallel == "threads"
+        assert (
+            test_bench.graph.num_nodes
+            < ExplanationSession.AUTO_PROCESS_MIN_NODES
+        )
+        report = run_batch(test_bench.graph, bench_tasks, "ST", workers=2)
+        assert report.parallel == "serial"
 
-    def test_rejects_unknown_backend_and_chunk_size(self, test_bench):
+    def test_rejects_unknown_backend(self, test_bench):
         with pytest.raises(ValueError, match="parallel backend"):
-            BatchSummarizer(test_bench.graph, parallel="gpu")
-        with pytest.raises(ValueError, match="chunk_size"):
-            BatchSummarizer(test_bench.graph, chunk_size=0)
+            batch_session(test_bench.graph, backend="gpu")
 
     def test_task_errors_propagate_like_serial(self, test_bench):
         """A genuinely failing task raises, not silently falls back."""
@@ -365,11 +365,11 @@ class TestProcessBackend:
             focus=("u:missing-node",),
             k=1,
         )
-        engine = BatchSummarizer(
-            test_bench.graph, method="ST", parallel="processes", workers=2
-        )
-        with pytest.raises(KeyError):
-            engine.run([bad])
+        with batch_session(
+            test_bench.graph, "ST", backend="processes", workers=2
+        ) as session:
+            with pytest.raises(KeyError):
+                session.run([bad])
 
 
 class TestStalenessInvalidation:
@@ -431,10 +431,10 @@ class TestStalenessInvalidation:
 
     def test_batch_refreezes_between_runs(self):
         graph = self._graph()
-        engine = BatchSummarizer(graph, method="ST")
-        first = engine.run([self._task()])
-        graph.set_weight("u:0", "i:1", 3.0)
-        second = engine.run([self._task()])
+        with batch_session(graph, "ST") as session:
+            first = session.run([self._task()])
+            graph.set_weight("u:0", "i:1", 3.0)
+            second = session.run([self._task()])
         edge_weight = {
             e.key(): e.weight
             for e in second.results[0].explanation.subgraph.edges()

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.pcst_summary import PCSTSummarizer
 from repro.core.scenarios import Scenario, SummaryTask
+from repro.core.steiner_summary import SteinerSummarizer
 from repro.core.summarizer import Summarizer, summarize
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.paths import Path
@@ -25,11 +27,11 @@ class TestDispatch:
             Summarizer(core_graph, "MAGIC")
 
     def test_engine_knob_reaches_every_method(self, core_graph, toy_task):
-        """engine= selects the backend for ST, ST-fast and PCST alike,
-        with "csr" accepted as an alias for "frozen"; outputs agree."""
+        """engine= selects the backend for ST, ST-fast and PCST alike;
+        outputs agree."""
         for method in ("ST", "ST-fast", "PCST"):
             outputs = []
-            for engine in ("frozen", "csr", "dict"):
+            for engine in ("frozen", "dict"):
                 summary = Summarizer(
                     core_graph, method=method, engine=engine
                 ).summarize(toy_task)
@@ -39,12 +41,21 @@ class TestDispatch:
                         sorted(e.key() for e in summary.subgraph.edges()),
                     )
                 )
-            assert outputs[0] == outputs[1] == outputs[2]
+            assert outputs[0] == outputs[1]
 
     def test_unknown_engine_rejected(self, core_graph):
         for method in ("ST", "ST-fast", "PCST", "Union"):
             with pytest.raises(ValueError, match="unknown engine"):
                 Summarizer(core_graph, method=method, engine="gpu")
+
+    @pytest.mark.parametrize(
+        "cls", [Summarizer, SteinerSummarizer, PCSTSummarizer]
+    )
+    def test_csr_engine_alias_is_gone(self, core_graph, cls):
+        """The CSR engine is named "frozen" only; the old "csr" alias
+        is rejected like any other unknown engine."""
+        with pytest.raises(ValueError, match="unknown engine 'csr'"):
+            cls(core_graph, engine="csr")
 
     def test_one_shot_helper(self, core_graph, toy_task):
         summary = summarize(core_graph, toy_task, method="ST", lam=2.0)

@@ -33,7 +33,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "average degree" in out
 
-    def test_batch_demo_csr_engine(self, capsys):
+    def test_batch_demo_frozen_engine(self, capsys):
         assert (
             main(
                 [
@@ -41,7 +41,7 @@ class TestCLI:
                     "--scale", "test",
                     "--demo", "6",
                     "--method", "ST",
-                    "--engine", "csr",
+                    "--engine", "frozen",
                 ]
             )
             == 0
@@ -72,6 +72,21 @@ class TestCLI:
     def test_batch_rejects_unknown_parallel_backend(self):
         with pytest.raises(SystemExit):
             main(["batch", "--demo", "2", "--parallel", "gpu"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--parallel", "threads"],
+            ["--scheduler", "chunked"],
+            ["--engine", "csr"],
+        ],
+        ids=["parallel-threads", "scheduler", "engine-csr"],
+    )
+    def test_batch_rejects_retired_options(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--demo", "2", *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
     def test_batch_explicit_serial_backend(self, capsys):
         assert (

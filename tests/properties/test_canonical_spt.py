@@ -157,14 +157,14 @@ class TestBatchParity:
         graph, tasks = boosted_workload
         reports = [
             _run(graph, tasks, 2.0, backend)
-            for backend in ("serial", "threads", "processes")
+            for backend in ("serial", "processes")
         ]
-        assert reports[2].parallel == "processes"
+        assert reports[1].parallel == "processes"
         keys = [
             [canonical(r.explanation) for r in report.results]
             for report in reports
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1]
 
     def test_lambda_sweep_stays_exact(self, boosted_workload):
         """Across the paper's λ sweep, batch == cold for every task."""

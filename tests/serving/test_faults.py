@@ -34,7 +34,7 @@ from repro.serving.client import (
     OverloadedError,
     ServerError,
 )
-from repro.serving.faults import HANG_SECONDS, Fault, FaultPlan
+from repro.serving.faults import Fault, FaultPlan
 from repro.serving.server import (
     ExplanationServer,
     ServerConfig,
@@ -284,6 +284,104 @@ class TestSupervisedRecovery:
                 canonical(want.explanation)
             )
 
+    def test_stream_crash_recovery_is_exact(
+        self, test_bench, chaos_tasks, serial_reference
+    ):
+        """stream() drains the supervised dispatch run() folds: a crash
+        is retried in place and every streamed result is bit-identical."""
+        plan = FaultPlan(faults=(Fault(kind="crash", at=CRASH_AT),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with chaos_session(
+                test_bench.graph,
+                resilience=ResilienceConfig(max_task_retries=2),
+                faults=plan,
+            ) as session:
+                streamed = list(session.stream(chaos_tasks))
+                stats = session.stats
+        assert sorted(r.index for r in streamed) == list(range(NUM_TASKS))
+        assert all(result.ok for result in streamed)
+        assert stats.worker_deaths == 1
+        assert stats.task_retries == 1
+        assert stats.local_fallbacks == 0
+        by_index = {r.index: r for r in streamed}
+        for want in serial_reference.results:
+            assert canonical(by_index[want.index].explanation) == (
+                canonical(want.explanation)
+            ), want.index
+
+    def test_stream_exhausted_retries_conclude_typed_crash(
+        self, test_bench, chaos_tasks
+    ):
+        plan = FaultPlan(
+            faults=(Fault(kind="crash", at=CRASH_AT, attempts=ALWAYS),)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with chaos_session(
+                test_bench.graph,
+                resilience=ResilienceConfig(max_task_retries=1),
+                faults=plan,
+            ) as session:
+                streamed = list(session.stream(chaos_tasks))
+                deaths = session.stats.worker_deaths
+        assert len(streamed) == NUM_TASKS
+        failed = [r for r in streamed if r.failure is not None]
+        assert [r.index for r in failed] == [CRASH_AT]
+        assert failed[0].failure.cause == "crash"
+        assert failed[0].failure.retries == 1
+        assert failed[0].explanation is None
+        assert deaths == 2
+
+    def test_stream_timeout_fails_individually(
+        self, test_bench, chaos_tasks
+    ):
+        plan = FaultPlan(
+            faults=(
+                Fault(
+                    kind="hang", at=HANG_AT, seconds=30.0, attempts=ALWAYS
+                ),
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with chaos_session(
+                test_bench.graph,
+                resilience=ResilienceConfig(
+                    max_task_retries=0, task_timeout_seconds=1.0
+                ),
+                faults=plan,
+            ) as session:
+                streamed = list(session.stream(chaos_tasks))
+                timeouts = session.stats.task_timeouts
+        assert len(streamed) == NUM_TASKS
+        failed = [r for r in streamed if r.failure is not None]
+        assert [r.index for r in failed] == [HANG_AT]
+        assert failed[0].failure.cause == "timeout"
+        assert timeouts == 1
+
+    def test_stream_malformed_result_demoted_to_error_failure(
+        self, test_bench, chaos_tasks
+    ):
+        plan = FaultPlan(
+            faults=(Fault(kind="malformed", at=CRASH_AT, attempts=ALWAYS),)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with chaos_session(
+                test_bench.graph,
+                resilience=ResilienceConfig(),
+                faults=plan,
+            ) as session:
+                streamed = list(session.stream(chaos_tasks))
+                deaths = session.stats.worker_deaths
+        assert len(streamed) == NUM_TASKS
+        failed = [r for r in streamed if r.failure is not None]
+        assert [r.index for r in failed] == [CRASH_AT]
+        assert failed[0].failure.cause == "error"
+        assert "undecodable" in failed[0].failure.message
+        assert deaths == 0
+
     def test_circuit_breaker_demotes_to_local_fallback(
         self, test_bench, chaos_tasks
     ):
@@ -499,12 +597,25 @@ class TestNetworkResilience:
 
     def test_server_thread_stop_raises_on_stuck_loop(self, test_bench):
         thread = ServerThread(ExplanationServer(test_bench.graph))
+        parked = threading.Event()
+        release = threading.Event()
+
+        def park() -> None:  # wedges the loop thread until released
+            parked.set()
+            release.wait(timeout=60)
+
         real_join = thread._thread.join
         try:
-            thread._thread.join = lambda timeout=None: None  # simulate hang
+            # A parked loop cannot run the shutdown coroutine, so the
+            # thread is still alive when stop() checks, however loaded
+            # the machine is.
+            thread._loop.call_soon_threadsafe(park)
+            assert parked.wait(timeout=30)
+            thread._thread.join = lambda timeout=None: None  # skip the wait
             with pytest.raises(RuntimeError, match="did not exit"):
                 thread.stop()
         finally:
+            release.set()
             thread._thread.join = real_join
-            real_join(timeout=30)  # the stop coroutine did run; reap it
+            real_join(timeout=30)  # the stop coroutine now runs; reap it
         assert not thread._thread.is_alive()

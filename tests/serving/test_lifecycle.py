@@ -1,4 +1,4 @@
-"""Lifecycle, durability wiring, hygiene, and supervised chunking.
+"""Lifecycle, durability wiring, hygiene, and the idle-shrink ticker.
 
 The acceptance contract for this layer (ISSUE 8):
 
@@ -15,9 +15,6 @@ The acceptance contract for this layer (ISSUE 8):
   frame;
 - the client treats ``shutting-down`` exactly like ``overloaded``:
   seeded backoff, ``retry_after_ms`` floor, deadline ceiling;
-- chunked dispatch survives worker death: the affected chunk is
-  retried within the budget (bit-identical batch, no RuntimeWarning)
-  or concluded as typed ``TaskFailure(cause="crash")`` results;
 - a bare in-process session shrinks its idle work-stealing pool in
   the background, between dispatches, per ``shrink_idle_seconds``.
 """
@@ -25,7 +22,6 @@ The acceptance contract for this layer (ISSUE 8):
 import socket
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -33,7 +29,6 @@ from repro.api import (
     ExplanationSession,
     MethodSpec,
     ParallelConfig,
-    ResilienceConfig,
     SchedulerConfig,
     SummaryRequest,
     register_method,
@@ -60,18 +55,6 @@ from repro.serving.server import (
     ServerConfig,
     ServerThread,
 )
-
-#: Keeps a fault firing through any retry budget a test configures.
-ALWAYS = 99
-
-
-def canonical(explanation):
-    subgraph = explanation.subgraph
-    return (
-        sorted(subgraph.nodes()),
-        sorted((e.source, e.target, e.weight) for e in subgraph.edges()),
-    )
-
 
 class _Sleepy:
     def __init__(self, graph):
@@ -261,10 +244,12 @@ class TestDrain:
         """Zero dropped results: a stream caught mid-flight by a drain
         still delivers every frame, while new requests are refused with
         a typed ``shutting-down`` answer within 0.5s."""
-        requests = [_sleepy_request(5)] + [_sleepy_request(0)] * 2
+        # Serial dispatch in order: two instant results, then a 0.5s
+        # sleeper that is still computing when the drain starts.
+        requests = [_sleepy_request(0)] * 2 + [_sleepy_request(5)]
         server = ExplanationServer(
             KnowledgeGraph(),
-            parallel=ParallelConfig(backend="threads", workers=2),
+            parallel=ParallelConfig(backend="serial"),
         )
         with ServerThread(server) as thread:
             results: list = []
@@ -473,132 +458,7 @@ class TestClientShuttingDownRetry:
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: chunked dispatch survives worker death
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def chunk_tasks(test_bench):
-    singles = list(
-        test_bench.tasks(Scenario.USER_CENTRIC, "PGPR", 2).values()
-    )
-    assert len(singles) >= 3
-    return [singles[i % len(singles)] for i in range(8)]
-
-
-@pytest.fixture(scope="module")
-def chunk_reference(test_bench, chunk_tasks):
-    with ExplanationSession(test_bench.graph) as session:
-        return session.run(chunk_tasks)
-
-
-def chunked_session(graph, *, resilience, faults):
-    return ExplanationSession(
-        graph,
-        parallel=ParallelConfig(
-            backend="processes", workers=2, chunk_size=2
-        ),
-        scheduler=SchedulerConfig(mode="chunked"),
-        resilience=resilience,
-        faults=faults,
-    )
-
-
-class TestChunkedSupervision:
-    def test_crashed_chunk_is_retried_bit_identical(
-        self, test_bench, chunk_tasks, chunk_reference
-    ):
-        """One worker crash no longer breaks the batch: the chunk is
-        re-run on a respawned executor and the report matches the
-        serial reference, with no RuntimeWarning fallback."""
-        plan = FaultPlan(faults=(Fault(kind="crash", at=5),))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with chunked_session(
-                test_bench.graph,
-                resilience=ResilienceConfig(max_task_retries=2),
-                faults=plan,
-            ) as session:
-                report = session.run(chunk_tasks)
-                assert session.stats.worker_deaths == 1
-                assert session.stats.task_retries >= 2  # whole chunk
-                assert session.stats.local_fallbacks == 0
-        assert report.scheduler == "chunked"
-        assert report.retried >= 2
-        assert [r.index for r in report.results] == list(range(8))
-        for want, got in zip(chunk_reference.results, report.results):
-            assert got.failure is None, got.failure
-            assert canonical(got.explanation) == (
-                canonical(want.explanation)
-            ), got.index
-
-    def test_exhausted_budget_concludes_typed_crash(
-        self, test_bench, chunk_tasks
-    ):
-        """A chunk that keeps killing its worker concludes as typed
-        ``TaskFailure(cause="crash")`` results, not an exception."""
-        plan = FaultPlan(
-            faults=(Fault(kind="crash", at=0, attempts=ALWAYS),)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with ExplanationSession(
-                test_bench.graph,
-                parallel=ParallelConfig(
-                    backend="processes", workers=2, chunk_size=len(chunk_tasks)
-                ),
-                scheduler=SchedulerConfig(mode="chunked"),
-                resilience=ResilienceConfig(max_task_retries=1),
-                faults=plan,
-            ) as session:
-                report = session.run(chunk_tasks)
-                assert session.stats.worker_deaths == 2  # attempts 0 and 1
-        assert [r.index for r in report.results] == list(range(8))
-        for result in report.results:
-            assert result.explanation is None
-            assert result.failure.cause == "crash"
-            assert result.failure.retries == 1
-
-    def test_stream_yields_crash_failures_in_place(
-        self, test_bench, chunk_tasks
-    ):
-        plan = FaultPlan(
-            faults=(Fault(kind="crash", at=0, attempts=ALWAYS),)
-        )
-        with ExplanationSession(
-            test_bench.graph,
-            parallel=ParallelConfig(
-                backend="processes", workers=2, chunk_size=len(chunk_tasks)
-            ),
-            scheduler=SchedulerConfig(mode="chunked"),
-            resilience=ResilienceConfig(max_task_retries=0),
-            faults=plan,
-        ) as session:
-            streamed = list(session.stream(chunk_tasks))
-        assert sorted(r.index for r in streamed) == list(range(8))
-        assert all(r.failure is not None for r in streamed)
-
-    def test_supervision_off_keeps_legacy_fallback(
-        self, test_bench, chunk_tasks, chunk_reference
-    ):
-        """``max_worker_respawns=0`` preserves the pre-supervision
-        contract: the broken pool demotes the whole batch to the
-        serial local fallback, with its RuntimeWarning."""
-        plan = FaultPlan(faults=(Fault(kind="crash", at=0),))
-        with chunked_session(
-            test_bench.graph,
-            resilience=ResilienceConfig(max_worker_respawns=0),
-            faults=plan,
-        ) as session:
-            with pytest.warns(RuntimeWarning):
-                report = session.run(chunk_tasks)
-            assert session.stats.local_fallbacks == 1
-        for want, got in zip(chunk_reference.results, report.results):
-            assert canonical(got.explanation) == (
-                canonical(want.explanation)
-            )
-
-
-# ----------------------------------------------------------------------
-# Satellite 2: background idle shrink for bare sessions
+# Background idle shrink for bare sessions
 # ----------------------------------------------------------------------
 class TestIdleShrinkTicker:
     def test_pool_shrinks_between_dispatches(self, test_bench):
@@ -616,13 +476,18 @@ class TestIdleShrinkTicker:
             pool = session._steal_pool
             assert pool is not None and pool.size == 2
             # No further dispatch: the background ticker alone must
-            # retire the idle worker down to min_workers.
+            # retire the idle worker down to min_workers. The ticker
+            # retires the worker and credits stats.shrinks in two steps
+            # under the pool gate, so read both under it too.
             deadline = time.monotonic() + 10.0
-            while pool.size > 1 and time.monotonic() < deadline:
+            while True:
+                with session._pool_gate:
+                    size, shrinks_observed = pool.size, session.stats.shrinks
+                if size == 1 or time.monotonic() >= deadline:
+                    break
                 time.sleep(0.05)
-            assert pool.size == 1
-            assert session.stats.shrinks >= 1
-            shrinks_observed = session.stats.shrinks
+            assert size == 1
+            assert shrinks_observed >= 1
             # The next dispatch still works on the shrunken pool, and
             # absorbing its counters must not double-count the
             # ticker's shrink.

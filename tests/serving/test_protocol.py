@@ -9,8 +9,8 @@ These tests pin the three contracts that make it trustworthy:
   bit-identity the server's parity guarantee is built on);
 - decoding is strict: junk raises :class:`ProtocolError` with a stable
   machine-readable ``code``, never a KeyError three layers deep;
-- the legacy ``repro.core.batch`` serialization names still work but
-  emit a ``DeprecationWarning`` pointing here.
+- reports written by older peers keep decoding, including ones that
+  name a retired backend or scheduler.
 """
 
 import json
@@ -234,14 +234,37 @@ class TestReportCodec:
 
         with ExplanationSession(
             test_bench.graph,
-            parallel=ParallelConfig(backend="threads", workers=2),
+            parallel=ParallelConfig(backend="processes", workers=2),
         ) as session:
             report = session.run(tasks)
         assert report.scheduler == "work-stealing"
         decoded = BatchReport.from_dict(through_json(report.to_dict()))
         assert decoded.scheduler == "work-stealing"
-        assert decoded.parallel == "threads"
+        assert decoded.parallel == "processes"
         assert decoded.workers == report.workers
+
+    def test_v1_retired_backend_and_scheduler_still_decode(self):
+        """A literal protocol-v1 report from a peer that still ran the
+        thread backend and the chunked scheduler decodes verbatim."""
+        legacy = {
+            "method": "ST",
+            "freeze_seconds": 0.0,
+            "total_seconds": 0.5,
+            "cache_hits": 1,
+            "cache_misses": 2,
+            "cache_patched": 0,
+            "cache_base_hits": 0,
+            "cache_base_misses": 0,
+            "workers": 2,
+            "parallel": "threads",
+            "scheduler": "chunked",
+            "results": [],
+        }
+        decoded = BatchReport.from_dict(through_json(legacy))
+        assert decoded.parallel == "threads"
+        assert decoded.scheduler == "chunked"
+        assert (decoded.cache_hits, decoded.cache_misses) == (1, 2)
+        assert decoded.workers == 2 and decoded.results == ()
 
     def test_result_codec_is_self_contained(self, sample_report):
         result = sample_report.results[0]
@@ -304,16 +327,6 @@ class TestEnvelopes:
 
 
 class TestLegacyAliases:
-    def test_batch_names_warn_and_delegate(self):
-        from repro.core import batch
-
-        task = make_task()
-        with pytest.warns(DeprecationWarning, match="repro.api.protocol"):
-            data = batch.task_to_json(task)
-        assert data == protocol.task_to_json(task)
-        with pytest.warns(DeprecationWarning, match="repro.api.protocol"):
-            assert batch.task_from_json(data) == task
-
     def test_jsonl_helpers_do_not_warn(self, tmp_path):
         import warnings
 

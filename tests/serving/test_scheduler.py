@@ -3,34 +3,28 @@
 The acceptance contract for the serving scheduler:
 
 - a skewed task mix (heavy group scenarios interleaved with
-  singletons) produces bit-identical results on every backend x
-  scheduler combination — serial / threads / processes crossed with
-  work-stealing / chunked;
+  singletons) produces bit-identical results on both backends —
+  serial and the work-stealing process pool;
 - ``stream()`` yields results in completion order (not submission
-  order) and covers the whole batch, per task under work-stealing;
+  order) and covers the whole batch, per task;
 - the elastic pool's grow / shrink / steal activity is observable
   through ``SessionStats``;
 - per-task latency surfaces as ``BatchResult.latency_ms`` with pinned
   p50/p95 aggregation on ``BatchReport``.
 """
 
-import time
-
 import pytest
 
 from repro.api import (
     ExplanationSession,
-    MethodSpec,
     ParallelConfig,
     SchedulerConfig,
-    SummaryRequest,
-    register_method,
-    unregister_method,
 )
 from repro.core.batch import BatchReport, BatchResult
 from repro.core.scenarios import Scenario, SummaryTask
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.graph.paths import Path
+from repro.serving import Fault, FaultPlan
 
 
 def canonical(explanation):
@@ -63,30 +57,20 @@ def serial_reference(test_bench, skewed_tasks):
 
 
 class TestSkewedMixParity:
-    """serial/threads/processes x work-stealing/chunked, bit-identical."""
+    """serial and processes, bit-identical."""
 
-    @pytest.mark.parametrize(
-        ("backend", "mode"),
-        [
-            ("serial", "work-stealing"),
-            ("threads", "work-stealing"),
-            ("threads", "chunked"),
-            ("processes", "work-stealing"),
-            ("processes", "chunked"),
-        ],
-    )
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_parity_with_serial(
-        self, backend, mode, test_bench, skewed_tasks, serial_reference
+        self, backend, test_bench, skewed_tasks, serial_reference
     ):
         with ExplanationSession(
             test_bench.graph,
             parallel=ParallelConfig(backend=backend, workers=2),
-            scheduler=SchedulerConfig(mode=mode),
         ) as session:
             report = session.run(skewed_tasks)
         assert report.parallel == backend
         if backend != "serial":
-            assert report.scheduler == mode
+            assert report.scheduler == "work-stealing"
         assert [r.index for r in report.results] == (
             list(range(len(skewed_tasks)))
         )
@@ -95,14 +79,12 @@ class TestSkewedMixParity:
                 canonical(want.explanation)
             ), got.index
 
-    @pytest.mark.parametrize("mode", ["work-stealing", "chunked"])
     def test_stream_covers_skewed_mix(
-        self, mode, test_bench, skewed_tasks, serial_reference
+        self, test_bench, skewed_tasks, serial_reference
     ):
         with ExplanationSession(
             test_bench.graph,
             parallel=ParallelConfig(backend="processes", workers=2),
-            scheduler=SchedulerConfig(mode=mode),
         ) as session:
             streamed = list(session.stream(skewed_tasks))
         assert sorted(r.index for r in streamed) == (
@@ -118,62 +100,49 @@ class TestSkewedMixParity:
 class TestStreamOrdering:
     """Completion order, not submission order, drives the stream."""
 
-    def test_out_of_order_completion_streams_out_of_order(self):
-        """A slow first task must not block later results (threads)."""
-        delays = {0: 0.4, 1: 0.01, 2: 0.01, 3: 0.01}
+    def test_out_of_order_completion_streams_out_of_order(self, test_bench):
+        """A slow first task must not block later results."""
+        tasks = list(
+            test_bench.tasks(Scenario.USER_CENTRIC, "PGPR", 2).values()
+        )[:4]
+        # Task 0's worker sleeps far longer than the other three tasks
+        # take together, so the second worker finishes them first.
+        plan = FaultPlan(faults=(Fault(kind="delay", at=0, seconds=1.5),))
+        with ExplanationSession(
+            test_bench.graph,
+            parallel=ParallelConfig(backend="processes", workers=2),
+            faults=plan,
+        ) as session:
+            order = [r.index for r in session.stream(tasks)]
+        assert sorted(order) == [0, 1, 2, 3]
+        # With per-task work-stealing dispatch the delayed task must
+        # not be the first result.
+        assert order[0] != 0
+        assert order[-1] == 0
 
-        class SleepySummarizer:
-            def __init__(self, graph):
-                self.graph = graph
-
-            def summarize(self, task):
-                from repro.core.explanation import SubgraphExplanation
-
-                time.sleep(delays[task.k - 10])
-                subgraph = KnowledgeGraph()
-                subgraph.add_node(task.terminals[0])
-                return SubgraphExplanation(
-                    subgraph=subgraph, task=task, method="Sleepy"
-                )
-
-        register_method(
-            MethodSpec(
-                name="sleepy",
-                legacy_name="Sleepy",
-                builder=lambda graph, config, cache: SleepySummarizer(
-                    graph
-                ),
-                uses_traversal=False,
-            )
-        )
-        try:
-            tasks = [
-                SummaryTask(
-                    scenario=Scenario.USER_CENTRIC,
-                    terminals=("u:0",),
-                    paths=(),
-                    anchors=(),
-                    focus=(),
-                    k=10 + i,  # smuggles the delay key through the task
-                )
-                for i in range(4)
-            ]
-            requests = [
-                SummaryRequest(task=task, method="sleepy")
-                for task in tasks
-            ]
-            with ExplanationSession(
-                KnowledgeGraph(),
-                parallel=ParallelConfig(backend="threads", workers=2),
-            ) as session:
-                order = [r.index for r in session.stream(requests)]
-            assert sorted(order) == [0, 1, 2, 3]
-            # Task 0 sleeps 40x longer than the rest: with per-task
-            # work-stealing dispatch it must not be the first result.
-            assert order[0] != 0
-            assert order[-1] == 0
-        finally:
-            unregister_method("sleepy")
+    def test_run_folds_out_of_order_completion_into_input_order(
+        self, test_bench
+    ):
+        """The same delayed dispatch, folded by run(): task 0 lands
+        last but the report lists results in input order."""
+        tasks = list(
+            test_bench.tasks(Scenario.USER_CENTRIC, "PGPR", 2).values()
+        )[:4]
+        plan = FaultPlan(faults=(Fault(kind="delay", at=0, seconds=1.5),))
+        with ExplanationSession(test_bench.graph) as reference:
+            expected = reference.run(tasks)
+        with ExplanationSession(
+            test_bench.graph,
+            parallel=ParallelConfig(backend="processes", workers=2),
+            faults=plan,
+        ) as session:
+            report = session.run(tasks)
+        assert report.parallel == "processes"
+        assert report.total_seconds >= 1.5
+        assert [r.index for r in report.results] == [0, 1, 2, 3]
+        for want, got in zip(expected.results, report.results):
+            assert got.ok
+            assert canonical(got.explanation) == canonical(want.explanation)
 
     def test_work_stealing_streams_before_batch_completes(self, test_bench):
         tasks = list(

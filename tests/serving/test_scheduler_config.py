@@ -1,23 +1,21 @@
-"""SchedulerConfig validation and the shared static-chunk formula."""
+"""SchedulerConfig validation."""
 
 import pytest
 
-from repro.serving import SchedulerConfig, static_chunks
+from repro.serving import SchedulerConfig
 
 
 class TestSchedulerConfig:
     def test_defaults_are_work_stealing(self):
         config = SchedulerConfig()
-        assert config.mode == "work-stealing"
         assert config.min_workers == 1
         assert config.max_workers == 0  # auto: max(initial, cpu count)
 
-    def test_chunked_mode_accepted(self):
-        assert SchedulerConfig(mode="chunked").mode == "chunked"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="scheduler mode"):
-            SchedulerConfig(mode="round-robin")
+    def test_chunked_mode_is_gone(self):
+        """The static-chunk scheduler was retired with its ``mode`` knob:
+        the work-stealing pool is the one dispatch discipline left."""
+        with pytest.raises(TypeError, match="mode"):
+            SchedulerConfig(mode="chunked")
 
     def test_min_workers_validated(self):
         with pytest.raises(ValueError, match="min_workers"):
@@ -36,23 +34,3 @@ class TestSchedulerConfig:
     def test_shrink_idle_validated(self):
         with pytest.raises(ValueError, match="shrink_idle_seconds"):
             SchedulerConfig(shrink_idle_seconds=-1.0)
-
-
-class TestStaticChunks:
-    def test_legacy_formula_pinned(self):
-        # ceil(64 / (4 * 4)) = 4 -> 16 chunks of 4: the exact split the
-        # chunked scheduler has always produced.
-        chunks = static_chunks(list(range(64)), 4, None)
-        assert [len(c) for c in chunks] == [4] * 16
-        assert [x for c in chunks for x in c] == list(range(64))
-
-    def test_explicit_chunk_size_wins(self):
-        chunks = static_chunks(list(range(10)), 4, 3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
-
-    def test_empty_input(self):
-        assert static_chunks([], 4, None) == []
-
-    def test_single_worker(self):
-        chunks = static_chunks(list(range(8)), 1, None)
-        assert [len(c) for c in chunks] == [2, 2, 2, 2]
