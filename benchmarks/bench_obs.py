@@ -18,7 +18,7 @@ Each leg pays pool spawn + graph export with a sacrificial warmup
 batch before the clock starts, and runs the measured batch
 ``--repeats`` times taking the best (min) wall-clock, so scheduler
 jitter does not fail the gate. Results land in the repo-root
-``BENCH_obs.json`` trajectory artifact (joining ``BENCH_cache.json``
+``BENCH_obs.json`` trajectory artifact (joining ``BENCH_server.json``
 et al.).
 
 Not a pytest module (the ``bench_`` prefix keeps it out of

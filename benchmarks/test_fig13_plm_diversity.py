@@ -3,8 +3,6 @@
 Paper shape: PLM-family baselines are more diverse than PGPR/CAFE, but
 PCST still enhances diversity further."""
 
-from statistics import mean
-
 from reporting import render_panels
 
 from repro.experiments import figures

@@ -3,10 +3,7 @@
 Paper shape: rating-dominant weighting maximizes comprehensibility;
 recency-dominant weighting maximizes diversity."""
 
-from reporting import render_panels
-
 from repro.experiments import figures
-from repro.experiments.config import ExperimentConfig
 
 
 def test_fig16_recency(benchmark, ci_config, emit):

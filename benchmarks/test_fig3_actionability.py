@@ -5,7 +5,6 @@ Paper shape: ST λ=100 highest (prioritizes rated items), PCST least."""
 from reporting import render_panels
 
 from repro.experiments import figures
-from repro.experiments.workbench import BASELINE
 
 
 def test_fig3_actionability(benchmark, ci_bench, emit):

@@ -6,7 +6,6 @@ with λ (more user-item interaction edges pulled into the tree)."""
 from reporting import render_panels
 
 from repro.experiments import figures
-from repro.experiments.workbench import BASELINE
 
 
 def test_fig7_relevance(benchmark, ci_bench, emit):

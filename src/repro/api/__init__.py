@@ -21,10 +21,6 @@ The pieces:
   tier (:mod:`repro.serving.server` / :mod:`repro.serving.client`),
   the CLI ``batch`` subcommand's JSONL files and
   :meth:`BatchReport.to_dict`.
-- :class:`ClosureStoreConfig` (re-exported from :mod:`repro.cache`) —
-  the cross-worker shared closure store: terminal closures published
-  to a shared-memory slab with popularity-aware (TinyLFU) admission,
-  so process-pool workers reuse each other's Dijkstra runs.
 - :class:`SchedulerConfig` (re-exported from :mod:`repro.serving`) —
   the bounds of the process backend's elastic work-stealing pool.
 - :class:`ResilienceConfig` (re-exported from :mod:`repro.serving`) —
@@ -64,7 +60,6 @@ from repro.api.registry import (
 )
 from repro.api.requests import SummaryRequest
 from repro.api.session import ExplanationSession, SessionStats
-from repro.cache import ClosureStoreConfig
 from repro.core.batch import BatchReport, BatchResult, TaskFailure
 from repro.obs import ObservabilityConfig
 from repro.serving.config import ResilienceConfig, SchedulerConfig
@@ -73,7 +68,6 @@ __all__ = [
     "BatchReport",
     "BatchResult",
     "CacheConfig",
-    "ClosureStoreConfig",
     "EngineConfig",
     "ExplanationSession",
     "MethodSpec",

@@ -68,11 +68,6 @@ from dataclasses import dataclass, fields
 from repro.api.config import CacheConfig, EngineConfig, ParallelConfig
 from repro.api.registry import MethodSpec, method_spec
 from repro.api.requests import SummaryRequest, as_request
-from repro.cache import (
-    ClosureStoreConfig,
-    SharedClosureStore,
-    StoreBackedClosureCache,
-)
 from repro.core.batch import (
     _PROCESS_FALLBACK_ERRORS,
     _STAT_KEYS,
@@ -152,13 +147,9 @@ class SessionStats:
     batches were demoted to a local run (the blast radius supervision
     exists to avoid — 0 on a healthy process backend).
 
-    The store counters describe the cross-worker closure store (0 with
-    the store disabled): ``store_hits`` / ``store_misses`` are lookups
-    against the shared tier *summed across the parent and every
-    worker*, ``store_evictions`` counts entries displaced under
-    capacity pressure, and ``store_bytes`` is the slab's live payload
-    footprint at the last sync. Counters accumulate across store
-    rebuilds (graph mutations), like every other lifetime counter here.
+    The ``store_*`` counters are always 0: they described the retired
+    cross-worker closure store and stay so that peers and tools that
+    read the schema keep decoding it.
     """
 
     freezes: int = 0
@@ -239,22 +230,6 @@ class SessionStats:
             },
         )
 
-    def cache_line(self) -> str | None:
-        """One report line of shared-store activity; None when quiet."""
-        if not (self.store_hits or self.store_misses):
-            return None
-        total = self.store_hits + self.store_misses
-        return _stat_line(
-            "store",
-            {
-                "hits": (
-                    f"{self.store_hits}/{total} "
-                    f"({self.store_hits / total:.0%})"
-                ),
-                "evictions": self.store_evictions,
-                "bytes": self.store_bytes,
-            },
-        )
 
 
 class ExplanationSession:
@@ -288,13 +263,6 @@ class ExplanationSession:
         Optional :class:`repro.serving.FaultPlan` threaded into worker
         job envelopes — deterministic fault injection for tests and
         chaos drills. None (the default) injects nothing.
-    store:
-        :class:`repro.cache.ClosureStoreConfig` for the cross-worker
-        shared closure store (disabled by default). When enabled, the
-        store is created alongside the shared-memory export, attached
-        by every pool worker, read through by all closure caches
-        (parent and workers), and invalidated with the pool on graph
-        mutation.
     obs:
         :class:`repro.obs.ObservabilityConfig` governing telemetry:
         registry metrics (default on), per-request span traces
@@ -318,7 +286,6 @@ class ExplanationSession:
         default_method: str = "st",
         resilience: ResilienceConfig | None = None,
         faults: FaultPlan | None = None,
-        store: ClosureStoreConfig | None = None,
         obs: ObservabilityConfig | None = None,
     ) -> None:
         self.graph = graph
@@ -332,9 +299,6 @@ class ExplanationSession:
         )
         self.resilience_config = (
             resilience if resilience is not None else ResilienceConfig()
-        )
-        self.store_config = (
-            store if store is not None else ClosureStoreConfig()
         )
         self.obs_config = obs if obs is not None else ObservabilityConfig()
         if self.obs_config.log_json:
@@ -375,10 +339,6 @@ class ExplanationSession:
         self._version: int | None = None
         self._frozen = None
         self._export = None
-        self._store: SharedClosureStore | None = None
-        #: Last-synced store counters; deltas fold into ``stats`` so
-        #: lifetime counters survive store rebuilds (invalidations).
-        self._store_seen: dict = {}
         self._steal_pool: ElasticWorkerPool | None = None
         self._closure_cache: TerminalClosureCache | None = None
         self._summarizers: dict = {}
@@ -495,24 +455,9 @@ class ExplanationSession:
     # ------------------------------------------------------------------
     def _teardown_derived(self) -> None:
         self.release_pool()
-        self._release_store()
         self._frozen = None
         self._closure_cache = None
         self._summarizers.clear()
-
-    def _release_store(self) -> None:
-        """Destroy the shared closure store (counters folded first).
-
-        Runs on invalidation and close — *not* on ``release_pool()``:
-        like the serial-path caches, the store outlives a pool release
-        so the next process-backed run re-attaches warm entries.
-        """
-        if self._store is not None:
-            self._sync_store_stats()
-            self._store.close()
-            self._store.unlink()
-            self._store = None
-            self._store_seen = {}
 
     def _refresh(self) -> None:
         """Notice graph mutations; rebuild derived state at most once."""
@@ -548,81 +493,25 @@ class ExplanationSession:
         ``(source, cost-signature)``, so λ/config mixes never collide.
         """
         if self._closure_cache is None:
-            store = self._ensure_store()
-            if store is not None:
-                self._closure_cache = StoreBackedClosureCache(
-                    self.cache_config.closure_size, store=store
-                )
-            else:
-                self._closure_cache = TerminalClosureCache(
-                    self.cache_config.closure_size
-                )
-        return self._closure_cache
-
-    def _ensure_store(self) -> SharedClosureStore | None:
-        """Create the shared closure store at most once per version.
-
-        None when disabled. The store is version-scoped like the frozen
-        export: graph mutation invalidates it wholesale (entry keys
-        embed the version, so stale reuse is impossible anyway, but
-        recreating frees the slab for the new working set).
-        """
-        if not self.store_config.enabled:
-            return None
-        if self._store is None:
-            self._store = SharedClosureStore.create(
-                self.store_config, self._mp_context()
+            self._closure_cache = TerminalClosureCache(
+                self.cache_config.closure_size
             )
-            self._store_seen = {}
-        return self._store
+        return self._closure_cache
 
     def _worker_cache_config(self) -> tuple:
         """The per-worker cache recipe the worker pool initializes with.
 
-        ``(closure_size, store_handle, plugin_modules, trace)`` — the
-        store handle carries the shared-memory token plus its locks
-        (inheritable through process spawn only, never queues), the
-        plugin modules are imported by each worker before it serves
-        tasks, and a truthy ``trace`` flips the worker's ambient span
-        recorder on so compute/encode/store spans ride home through the
-        result-pipe stat deltas.
+        ``(closure_size, plugin_modules, trace)`` — the plugin modules
+        are imported by each worker before it serves tasks, and a
+        truthy ``trace`` flips the worker's ambient span recorder on so
+        compute/encode spans ride home through the result-pipe stat
+        deltas.
         """
-        store = self._ensure_store()
         return (
             self.cache_config.closure_size,
-            store.handle if store is not None else None,
             self.parallel_config.plugin_modules,
             self._tracer.enabled,
         )
-
-    def _sync_store_stats(self) -> None:
-        """Fold the live store counters' deltas into ``stats``.
-
-        The store accumulates raw counters across every attached
-        process; ``_store_seen`` remembers the last fold so repeated
-        syncs (one per run/stream drain) never double-count, and
-        lifetime session totals survive store rebuilds.
-        """
-        if self._store is None:
-            return
-        try:
-            live = self._store.stats()
-        except (OSError, ValueError):  # store torn down under us
-            return
-        seen = self._store_seen
-        self.stats.store_hits += live["hits"] - seen.get("hits", 0)
-        self.stats.store_misses += live["misses"] - seen.get("misses", 0)
-        self.stats.store_evictions += live["evictions"] - seen.get(
-            "evictions", 0
-        )
-        self.stats.store_bytes = live["bytes_used"]
-        self._store_seen = live
-
-    def store_stats(self) -> dict | None:
-        """Live counters of the shared closure store; None when off."""
-        if self._store is None:
-            return None
-        return self._store.stats()
 
     def last_trace(self) -> dict | None:
         """The most recent finished request trace; None when quiet.
@@ -701,7 +590,6 @@ class ExplanationSession:
         finally:
             if trace is not None:
                 trace.finish()
-            self._sync_store_stats()
 
     def run(
         self,
@@ -743,7 +631,6 @@ class ExplanationSession:
                 resolved, self._dispatch_serial(resolved, trace)
             )
         finally:
-            self._sync_store_stats()
             if self._metrics_on:
                 self._m_batch_seconds.observe(
                     time.perf_counter() - batch_start
@@ -801,14 +688,13 @@ class ExplanationSession:
         return resolved, backend, trace
 
     def _synced_stream(self, results: Iterator[tuple], trace=None):
-        """Strip the counter deltas; fold store counters when drained."""
+        """Strip the counter deltas; finish the trace when drained."""
         try:
             for result, _delta in results:
                 yield result
         finally:
             if trace is not None:
                 trace.finish()
-            self._sync_store_stats()
 
     def _fold(self, resolved: list[_Resolved], dispatch) -> BatchReport:
         """Drain one dispatch into a report: input order, summed deltas."""
@@ -826,8 +712,6 @@ class ExplanationSession:
             total_seconds=time.perf_counter() - dispatch.started,
             cache_hits=totals["hits"],
             cache_misses=totals["misses"],
-            store_hits=totals["store_hits"],
-            store_misses=totals["store_misses"],
             workers=dispatch.workers,
             parallel=dispatch.parallel,
             scheduler=dispatch.scheduler,

@@ -1,10 +1,8 @@
 """Typed configuration for the cross-worker closure store.
 
-:class:`ClosureStoreConfig` is the session's sixth config (after
-Engine / Cache / Parallel / Scheduler / Resilience): *whether and how*
-closure results are shared across workers. Like the other session
-configs it is a frozen dataclass that validates eagerly, so a typo
-fails at session construction rather than mid-batch.
+:class:`ClosureStoreConfig` sizes one :class:`~repro.cache.store
+.SharedClosureStore`. It is a frozen dataclass that validates eagerly,
+so a typo fails when the config is built rather than mid-run.
 """
 
 from __future__ import annotations

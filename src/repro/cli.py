@@ -10,7 +10,6 @@ Usage::
     repro-xsum batch --demo 100 --method ST --parallel processes --workers 4
     repro-xsum batch --demo 100 --stream
     repro-xsum batch --demo 100 --parallel processes --min-workers 1 --max-workers 8
-    repro-xsum batch --demo 100 --parallel processes --closure-store --store-mb 128
     repro-xsum batch --demo 100 --trace --slow-ms 50
     repro-xsum serve --port 7737 --max-pending 64 --idle-ttl 30
     repro-xsum serve --state-dir ./state --drain-timeout 15
@@ -87,7 +86,6 @@ def _print_panels(name: str, panels) -> None:
 def _run_batch(parser: argparse.ArgumentParser, args) -> int:
     """The ``batch`` subcommand: one session, freeze once, serve tasks."""
     from repro.api import (
-        ClosureStoreConfig,
         EngineConfig,
         ExplanationSession,
         ParallelConfig,
@@ -131,10 +129,6 @@ def _run_batch(parser: argparse.ArgumentParser, args) -> int:
             max_task_retries=args.max_task_retries,
             task_timeout_seconds=args.task_timeout,
         ),
-        store=ClosureStoreConfig(
-            enabled=args.closure_store,
-            capacity_bytes=max(4096, int(args.store_mb * 2**20)),
-        ),
         obs=ObservabilityConfig(
             metrics=args.metrics,
             trace=args.trace,
@@ -164,7 +158,6 @@ def _run_batch(parser: argparse.ArgumentParser, args) -> int:
         for line in (
             session.stats.scheduler_line(),
             session.stats.resilience_line(),
-            session.stats.cache_line(),
         ):
             if line:
                 print(line)
@@ -185,7 +178,7 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
     import asyncio
     import signal
 
-    from repro.api import ClosureStoreConfig, ParallelConfig, SchedulerConfig
+    from repro.api import ParallelConfig, SchedulerConfig
     from repro.obs import ObservabilityConfig
     from repro.serving.config import ResilienceConfig
     from repro.serving.server import ExplanationServer, ServerConfig
@@ -218,10 +211,6 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
             task_timeout_seconds=args.task_timeout,
         ),
         state_dir=args.state_dir or None,
-        store=ClosureStoreConfig(
-            enabled=args.closure_store,
-            capacity_bytes=max(4096, int(args.store_mb * 2**20)),
-        ),
         obs=ObservabilityConfig(
             metrics=args.metrics,
             trace=args.trace,
@@ -370,21 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         "holding one task longer is terminated and replaced, the task "
         "retried or failed individually (0 = no deadline; batch and "
         "serve)",
-    )
-    batch_group.add_argument(
-        "--closure-store",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="cross-worker shared closure store: workers publish "
-        "computed terminal closures to a shared-memory slab and reuse "
-        "each other's work (TinyLFU admission, segmented-LRU "
-        "eviction); results stay bit-identical (batch and serve)",
-    )
-    batch_group.add_argument(
-        "--store-mb",
-        type=float,
-        default=64.0,
-        help="closure store slab capacity in MiB (with --closure-store)",
     )
     obs_group = parser.add_argument_group("observability")
     obs_group.add_argument(

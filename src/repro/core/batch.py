@@ -12,14 +12,16 @@ that is identical across tasks:
   λ=0 task shares one uniform cost surface, so
   :class:`TerminalClosureCache` memoizes ``(source, cost-signature) ->
   (dist, prev)`` in an LRU and reuses a run whenever its settled set
-  covers the targets a new task needs.
+  covers the targets a new task needs. A miss runs the numpy kernel
+  :func:`~repro.graph.shortest_paths.closure_distances`.
 
-Cache reuse is exact, not approximate: a Dijkstra's settle sequence does
-not depend on its early-exit target set (targets only decide when the
-loop *stops*), so a longer run's ``(dist, prev)`` agrees with a fresh
-shorter run on every entry the Steiner construction reads. Predecessor
-chains are safe because Eq. (1) costs are bounded below by ``1 - ρ > 0``
-— every node on a shortest path settles strictly before its target.
+Cache reuse is exact, not approximate: settled distances do not depend
+on the early-exit target set (targets only decide when the search
+*stops*), so a longer run agrees with a fresh shorter run on every
+distance the canonical Steiner reconstruction reads. That walk needs
+only final distances because Eq. (1) costs are bounded below by
+``1 - ρ > 0`` — every node on a shortest path settles strictly before
+its target.
 
 Batch *execution* lives in the service layer: a long-lived
 :class:`repro.api.ExplanationSession` owns the frozen view, the
@@ -37,24 +39,27 @@ import json
 import pickle
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
+import numpy as np
+
 from repro.core.explanation import SubgraphExplanation
 from repro.core.scenarios import SummaryTask
-from repro.graph.shortest_paths import dijkstra_frozen
+from repro.graph.shortest_paths import closure_distances
 
 
 class TerminalClosureCache:
-    """LRU memo of single-source Dijkstra runs over a frozen view.
+    """LRU memo of single-source closure runs over a frozen view.
 
     Keyed by ``(source id, cost signature)``. An entry is reusable for a
     request whenever every requested target is in its settled set; on a
-    miss the fresh run replaces the entry if it settled more nodes.
+    miss one :func:`~repro.graph.shortest_paths.closure_distances` run
+    fills it, replacing the entry if it settled more nodes.
     Thread-safe (callers may share one cache across threads); the
-    Dijkstra itself runs outside the lock, so concurrent misses on the
+    kernel itself runs outside the lock, so concurrent misses on the
     same key merely duplicate work, never corrupt results.
     """
 
@@ -69,13 +74,10 @@ class TerminalClosureCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        # Second-tier (shared store) lookups; stay 0 on this class —
-        # :class:`repro.cache.StoreBackedClosureCache` counts into them.
-        self.store_hits = 0
-        self.store_misses = 0
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._frozen = None
+        self._ids = None  # the bound view's ids, as an object array
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -85,6 +87,7 @@ class TerminalClosureCache:
         with self._lock:
             self._entries.clear()
             self._frozen = None
+            self._ids = None
 
     def pair_fn(self, frozen, costs):
         """``(source, rest) -> (dist, prev)`` hook bound to one frozen view.
@@ -92,11 +95,16 @@ class TerminalClosureCache:
         Entries from an older frozen view (a re-freeze after graph
         mutation) are discarded wholesale — version-keyed staleness is
         handled here so callers never see distances from a dead graph.
+        ``prev`` is *a* valid shortest-path tree, not the heap Dijkstra's
+        tie-breaking, so only canonical reconstruction may read these
+        runs.
         """
         with self._lock:
             if frozen is not self._frozen:
                 self._entries.clear()
                 self._frozen = frozen
+                self._ids = np.array(frozen.ids, dtype=object)
+            ids = self._ids
         signature = costs.signature
 
         def pairs(source: str, rest: set[str]):
@@ -107,26 +115,11 @@ class TerminalClosureCache:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     return entry
-            # Local miss: consult the shared tier (a no-op here; the
-            # store-backed subclass fetches a sibling worker's run),
-            # then compute fresh and publish the run back to the tier.
-            result = self._tier_fetch(frozen, source, signature, rest)
-            if result is not None:
-                with self._lock:
-                    self.hits += 1
-            else:
-                result = dijkstra_frozen(
-                    frozen, source, costs=costs, targets=rest
-                )
-                with self._lock:
-                    self.misses += 1
-                self._tier_publish(
-                    frozen, source, signature, result[0], result[1]
-                )
-            dist, prev = result
+            dist, prev = _closure_maps(frozen, ids, source, costs, rest)
             with self._lock:
+                self.misses += 1
                 # The cache may have been rebound to a newer frozen view
-                # while this Dijkstra ran; our result is still valid for
+                # while the kernel ran; our result is still valid for
                 # our caller, but must not repopulate the new view's
                 # cache with pre-mutation distances.
                 if frozen is self._frozen:
@@ -140,15 +133,47 @@ class TerminalClosureCache:
 
         return pairs
 
-    # ------------------------------------------------------------------
-    # Shared-tier hooks (no-ops here; see repro.cache.readthrough)
-    # ------------------------------------------------------------------
-    def _tier_fetch(self, frozen, source, signature, rest):
-        """Second-tier closure lookup: ``(dist, prev)`` or None."""
-        return None
 
-    def _tier_publish(self, frozen, source, signature, dist, prev) -> None:
-        """Offer one fresh closure run to the second tier."""
+def _closure_maps(frozen, ids, source: str, costs, rest: set[str]):
+    """One kernel run: id-keyed settled distances and predecessors."""
+    # Unknown target ids map to an unsettleable -1: exhaustive search.
+    targets = [frozen.index_of(t) if t in frozen else -1 for t in rest]
+    settled, dist, parent = closure_distances(
+        frozen, frozen.index_of(source), costs, targets
+    )
+    settled_dist = dict(zip(ids[settled].tolist(), dist[settled].tolist()))
+    return settled_dist, _Predecessors(frozen, ids, settled, parent)
+
+
+class _Predecessors(Mapping):
+    """Id-keyed predecessors of one kernel run, as two sorted arrays.
+
+    Canonical reconstruction reads predecessors only in its ulp
+    fallback, so a cached run keeps them at 16 bytes per settled node
+    instead of a second id-keyed dict as large as the distances.
+    """
+
+    def __init__(self, frozen, ids, settled, parent) -> None:
+        self._frozen = frozen
+        self._ids = ids
+        self._nodes = np.sort(settled)
+        self._parents = parent[self._nodes]
+
+    def __getitem__(self, node: str) -> str:
+        if node in self._frozen:
+            index = self._frozen.index_of(node)
+            position = int(np.searchsorted(self._nodes, index))
+            if position < self._nodes.size and self._nodes[position] == index:
+                above = self._parents[position]
+                if above >= 0:
+                    return self._ids[above]
+        raise KeyError(node)
+
+    def __iter__(self):
+        return iter(self._ids[self._nodes[self._parents >= 0]].tolist())
+
+    def __len__(self) -> int:
+        return int((self._parents >= 0).sum())
 
 
 #: Valid ``TaskFailure.cause`` values: the worker process died while
@@ -204,7 +229,7 @@ class BatchResult:
     ``trace`` is only populated when the session runs with
     ``ObservabilityConfig(trace=True)``: a plain-JSON dict holding the
     request's ``trace_id`` and this task's span list (queue wait,
-    worker compute/encode, store fetches — see :mod:`repro.obs.trace`).
+    worker compute/encode — see :mod:`repro.obs.trace`).
     It travels as an optional protocol field, still
     ``protocol_version: 1``.
     """
@@ -243,14 +268,11 @@ class BatchReport:
     total_seconds: float
     cache_hits: int = 0
     cache_misses: int = 0
-    # Always 0; kept because v1 report decoders and perfbench read them.
+    # Always 0; kept because v1 report decoders and perfbench read them
+    # (the retired partial-reuse tier and cross-worker closure store).
     cache_patched: int = 0
     cache_base_hits: int = 0
     cache_base_misses: int = 0
-    #: Shared closure-store lookups this batch made (0 with the store
-    #: off — see :class:`repro.cache.ClosureStoreConfig`). A store hit
-    #: also counts as a ``cache_hits`` closure hit: the request was
-    #: served without a fresh Dijkstra, just from the cross-worker tier.
     store_hits: int = 0
     store_misses: int = 0
     workers: int = 0
@@ -356,13 +378,6 @@ class BatchReport:
                 f"  closures   {self.cache_hits}/{total} cache hits "
                 f"({self.cache_hits / total:.0%})"
             )
-        if self.store_hits or self.store_misses:
-            store_total = self.store_hits + self.store_misses
-            lines.append(
-                f"  store      {self.store_hits}/{store_total} "
-                f"shared-store hits "
-                f"({self.store_hits / store_total:.0%})"
-            )
         if self.failed or self.retried:
             lines.append(
                 f"  resilience {self.failed} task(s) failed, "
@@ -372,7 +387,7 @@ class BatchReport:
 
 
 #: Counter attributes mirrored between caches and reports.
-_STAT_KEYS = ("hits", "misses", "store_hits", "store_misses")
+_STAT_KEYS = ("hits", "misses")
 
 #: Infrastructure failures that demote the process backend to a serial
 #: run instead of failing the batch: shared-memory/pool setup errors,

@@ -21,7 +21,7 @@ by verbalization and the redundancy decomposition.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.graph.paths import Path

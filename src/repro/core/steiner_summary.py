@@ -46,7 +46,9 @@ class SteinerSummarizer:
         Optional terminal-closure memoizer (duck-typed; see
         :class:`repro.core.batch.TerminalClosureCache`). Shared across
         tasks by the batch engine; None (default) computes every
-        closure fresh.
+        closure fresh. Only canonical "kmb" runs read it: its closures
+        come from the numpy kernel, whose predecessor trees do not
+        follow heap order.
     canonical:
         Canonical-SPT tie-breaking for the "kmb" closure paths (see
         :func:`repro.graph.steiner.canonical_shortest_path`): among
@@ -125,7 +127,10 @@ class SteinerSummarizer:
             frozen = self.graph.freeze()
             slot_costs = weighting.slot_costs(frozen)
             pair_fn = None
-            if self.closure_cache is not None:
+            # The cache's runs carry an arbitrary tie-breaking
+            # predecessor tree; heap-order reconstruction must not
+            # read them.
+            if self.closure_cache is not None and self.canonical:
                 pair_fn = self.closure_cache.pair_fn(frozen, slot_costs)
             tree = steiner_tree(
                 self.graph,

@@ -42,7 +42,7 @@ from repro.graph.paths import paths_edge_frequency
 from repro.graph.types import undirected_key
 
 # Per-graph stored-weight maxima; summaries over the same graph are created
-# thousands of times per experiment, so the O(|E|) scan runs once per graph
+# thousands of times per experiment, so the O(|E|) max runs once per graph
 # *version* — mutating the graph (e.g. reweighting an edge) invalidates the
 # cached maximum along with every other frozen view.
 _STORED_MAX_CACHE: (
@@ -54,7 +54,11 @@ def _stored_weight_max(graph: KnowledgeGraph) -> float:
     version = graph.version
     cached = _STORED_MAX_CACHE.get(graph)
     if cached is None or cached[0] != version:
-        value = max((edge.weight for edge in graph.edges()), default=0.0)
+        # The frozen view's slot table holds every stored weight (once
+        # per direction), so no Edge objects are built; every engine
+        # but "dict" needs the view for this version anyway.
+        weights = graph.freeze().to_numpy()[2]
+        value = float(weights.max()) if weights.size else 0.0
         _STORED_MAX_CACHE[graph] = (version, value)
         return value
     return cached[1]

@@ -9,7 +9,7 @@ items, ML1M-sized graph) for long runs. Both keep the same sweep *shape*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

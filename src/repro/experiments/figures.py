@@ -11,9 +11,8 @@ from statistics import mean
 
 from repro.core.scenarios import Scenario
 from repro.experiments.config import RECENCY_COMBOS, ExperimentConfig
-from repro.experiments.workbench import BASELINE, Workbench
+from repro.experiments.workbench import Workbench
 from repro.graph.generators import (
-    SyntheticSpec,
     generate_random_kg,
     random_three_hop_paths,
     table3_specs,
@@ -21,7 +20,6 @@ from repro.graph.generators import (
 from repro.metrics import (
     actionability,
     comprehensibility,
-    consistency,
     diversity,
     measure,
     privacy,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.explanation import PathSetExplanation, SubgraphExplanation
+from repro.core.explanation import PathSetExplanation
 from repro.core.scenarios import Scenario, SummaryTask
 from repro.core.steiner_summary import SteinerSummarizer
 from repro.core.verbalize import verbalize_path, verbalize_summary

@@ -19,8 +19,9 @@ same tie-breaking, same predecessor trees) — the property the parity
 tests in ``tests/properties/test_csr_properties.py`` pin down.
 
 Arrays use the stdlib ``array`` module; :meth:`FrozenGraph.to_numpy`
-exposes zero-copy numpy views when numpy is installed (it is optional
-here — nothing in this module imports it at module scope).
+exposes zero-copy numpy views of them and :attr:`FrozenCosts.vector` a
+float64 copy of a cost surface, which is what the numpy closure kernel
+(:func:`repro.graph.shortest_paths.closure_distances`) runs on.
 
 A frozen view is a snapshot: it records the source graph's
 :attr:`~repro.graph.knowledge_graph.KnowledgeGraph.version` at build
@@ -36,6 +37,7 @@ import weakref
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,6 +68,24 @@ class FrozenCosts:
     def __post_init__(self) -> None:
         if self.signature is None:
             object.__setattr__(self, "signature", ("anon", object()))
+
+    @cached_property
+    def vector(self):
+        """``slots`` as a float64 numpy vector (converted once, cached)."""
+        import numpy as np
+
+        return np.asarray(self.slots, dtype=np.float64)
+
+    @cached_property
+    def min_cost(self) -> float:
+        """The smallest slot cost (``inf`` for an edgeless graph).
+
+        The bucket width of :func:`repro.graph.shortest_paths.
+        closure_distances`; cached with :attr:`vector` so tasks that
+        share one surface pay the O(|E|) scan once.
+        """
+        vector = self.vector
+        return float(vector.min()) if vector.size else float("inf")
 
 
 class FrozenGraph:
@@ -280,11 +300,7 @@ class FrozenGraph:
         return source is not None and source.version != self.version
 
     def to_numpy(self):
-        """``(offsets, targets, weights)`` as zero-copy numpy views.
-
-        Requires numpy; raises ``ImportError`` where it is unavailable
-        (the CSR engine itself never needs it).
-        """
+        """``(offsets, targets, weights)`` as zero-copy numpy views."""
         import numpy as np
 
         return (

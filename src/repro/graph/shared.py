@@ -20,6 +20,9 @@ view through :mod:`multiprocessing.shared_memory`:
   CSR order replay the original insertion order, so traversal
   tie-breaking is bit-identical) and pre-binds ``graph.freeze()`` to the
   attached view.
+- :func:`inherited_knowledge_graph` skips that rebuild in a worker
+  *forked* from the exporter: the child already holds a copy-on-write
+  snapshot of the exporter's graph, so it uses that one.
 
 Lifecycle rules (spawn-safe on every platform):
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import os
 import uuid
 from array import array
 from dataclasses import dataclass
@@ -95,6 +99,7 @@ class SharedGraphExport:
 
     def unlink(self) -> None:
         """Remove the blocks from the system (idempotent)."""
+        _EXPORTED.pop(self.handle.token, None)
         for block in self._blocks:
             try:
                 block.unlink()
@@ -119,8 +124,15 @@ def export_frozen(frozen: FrozenGraph) -> SharedGraphExport:
     """
     source = frozen._source() if frozen._source is not None else None
     names = dict(source._names) if source is not None else {}
+    # Flat ``[u, v, rel, ...]``: one list of strings, not one list per
+    # relation, so an export adds no garbage-collected containers (tens
+    # of thousands of them would trigger collections in the parent).
     relations = (
-        [[u, v, rel] for (u, v), rel in source._relations.items()]
+        [
+            part
+            for (u, v), rel in source._relations.items()
+            for part in (u, v, rel)
+        ]
         if source is not None
         else []
     )
@@ -161,12 +173,39 @@ def export_frozen(frozen: FrozenGraph) -> SharedGraphExport:
             block.close()
             block.unlink()
         raise
+    if frozen._source is not None:
+        _EXPORTED[token] = (os.getpid(), frozen._source)
     return SharedGraphExport(handle, blocks)
 
 
 # ----------------------------------------------------------------------
 # Worker-side attach
 # ----------------------------------------------------------------------
+#: Live exports of this process, by block token: ``(exporter pid,
+#: weakref to the source KnowledgeGraph)``. A forked child inherits the
+#: table; a spawned or forkserver child starts with it empty.
+_EXPORTED: dict[str, tuple] = {}
+
+
+def inherited_knowledge_graph(handle: SharedGraphHandle):
+    """The exporter's own graph, seen from a child forked off it.
+
+    A forked worker already holds a copy-on-write snapshot of the
+    parent's heap, graph and frozen view included, so rebuilding the
+    dict-of-dicts from the blocks (:func:`attach_knowledge_graph`) only
+    duplicates it. Returns None in the exporter itself, in a spawned or
+    forkserver child, and when the graph has changed since the export;
+    the caller then attaches.
+    """
+    entry = _EXPORTED.get(handle.token)
+    if entry is None or entry[0] == os.getpid():
+        return None
+    graph = entry[1]()
+    if graph is None or graph.version != handle.version:
+        return None
+    return graph
+
+
 #: (block, views) pairs attached by this process, released at exit in
 #: reverse order (views before their backing blocks).
 _ATTACHED: list[tuple[shared_memory.SharedMemory, list[memoryview]]] = []
@@ -211,7 +250,8 @@ def attach_frozen(
     """Map an exported view back into a zero-copy :class:`FrozenGraph`.
 
     Returns ``(frozen, meta)`` where ``meta`` is the JSON side table
-    (``ids`` / ``names`` / ``relations``). The frozen view's arrays are
+    (``ids`` / ``names`` / ``relations``, the last a flat ``[u, v, rel,
+    ...]`` list). The frozen view's arrays are
     ``memoryview`` casts over the shared buffers — no array copy; the
     string-rank table is pre-populated from the exported block so e.g.
     the Mehlhorn closure never re-sorts ids per worker.
@@ -282,8 +322,9 @@ def attach_knowledge_graph(handle: SharedGraphHandle):
         adjacency[node] = row
     graph._adjacency = adjacency
     graph._names = dict(meta.get("names", {}))
+    flat = meta.get("relations", [])
     graph._relations = {
-        (u, v): rel for u, v, rel in meta.get("relations", [])
+        (flat[i], flat[i + 1]): flat[i + 2] for i in range(0, len(flat), 3)
     }
     graph._num_edges = handle.num_slots // 2
     graph._version = handle.version

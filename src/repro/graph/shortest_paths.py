@@ -14,6 +14,11 @@ adjacency insertion order), same heap algorithm (:class:`IndexedHeap`
 mirrors :class:`AddressableHeap`) — so they return identical distances
 AND identical predecessor trees, ties included. ``dijkstra_frozen`` is
 the drop-in id-keyed wrapper the Steiner machinery swaps in.
+
+``closure_distances`` is the exception: a numpy Dijkstra (Dial's
+buckets) for the ST metric-closure runs behind the batch engine's
+cache. It matches the heap runs' distances bit for bit but not their
+tie-breaking, so only canonical path reconstruction consumes it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from array import array
+
+import numpy as np
 
 from repro.graph.csr import FrozenCosts, FrozenGraph
 from repro.graph.heap import AddressableHeap
@@ -416,6 +423,109 @@ def dijkstra_frozen(
         {ids[node]: d for node, d in dist.items()},
         {ids[node]: ids[parent] for node, parent in prev.items()},
     )
+
+
+def closure_distances(
+    frozen: FrozenGraph,
+    source: int,
+    costs=None,
+    targets: Iterable[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact single-source distances by a bucketed (Dial) numpy Dijkstra.
+
+    Δ-stepping (Meyer & Sanders, 2003) with Δ = the surface's smallest
+    slot cost: each round settles every open node whose tentative
+    distance is below ``min + Δ`` (or equals ``min``, which keeps
+    zero-cost surfaces moving), relaxes all of their rows with one
+    ``np.minimum.at`` and records a winning predecessor for every node
+    a relaxation lands on. No later relaxation can undercut a node
+    settled that way, so the result is the same fixpoint ``d[v] =
+    min_u fl(d[u] + c(u, v))`` the heap Dijkstra computes: distances
+    are bit-identical to :func:`dijkstra_indexed` on every node that
+    run settles, and whole rounds settle a superset of its nodes. Only
+    the predecessor choice among equal-cost routes differs, which
+    canonical reconstruction never reads.
+
+    ``costs`` takes the same forms as :func:`dijkstra_indexed`'s (a
+    :class:`~repro.graph.csr.FrozenCosts` keeps its float64 vector and
+    Δ cached); a negative cost raises ``ValueError``. The search stops
+    after the round that settles the last of ``targets``; an index
+    outside ``[0, num_nodes)`` never settles, so it keeps the search
+    exhaustive, as does an empty or absent collection. Every node at
+    most as far as the farthest target is settled by then, so the
+    settled set contains the heap run's whatever its tie order; nodes
+    the last round settles beyond that distance are left out of it.
+
+    Returns ``(settled, dist, parent)``: the settled indices in round
+    order (``source`` first), and dense per-node tables of tentative
+    distances (final on settled nodes) and predecessors (-1 for none).
+    """
+    num_nodes = frozen.num_nodes
+    if not 0 <= source < num_nodes:
+        raise KeyError(f"source index {source} out of range")
+    if not isinstance(costs, FrozenCosts):
+        costs = FrozenCosts(frozen.weights if costs is None else costs)
+    slot_costs, delta = costs.vector, costs.min_cost
+    if delta < 0:
+        raise ValueError(f"negative slot cost {delta}; shift weights first")
+    offsets, edge_targets, _ = frozen.to_numpy()
+    wanted = None
+    if targets:
+        wanted = np.fromiter(targets, dtype=np.int64)
+        if ((wanted < 0) | (wanted >= num_nodes)).any():
+            wanted = None  # an unsettleable target: search exhaustively
+
+    dist = np.full(num_nodes, np.inf)
+    parent = np.full(num_nodes, -1, dtype=np.int64)
+    settled = np.zeros(num_nodes, dtype=bool)
+    is_open = np.zeros(num_nodes, dtype=bool)  # reached, not settled
+    dist[source] = 0.0
+    is_open[source] = True
+    rounds = []
+    horizon = np.inf  # after a zero-width last round: the targets' level
+    while True:
+        frontier = np.flatnonzero(is_open)
+        if not frontier.size:
+            break
+        tentative = dist[frontier]
+        low = tentative.min()
+        if low > horizon:
+            break
+        done = frontier[(tentative < low + delta) | (tentative == low)]
+        is_open[done] = False
+        settled[done] = True
+        rounds.append(done)
+        if wanted is not None and settled[wanted].all():
+            if low + delta > low:
+                break  # everything up to the targets' distance is settled
+            # A zero-width round (zero-cost slots): nodes tied at ``low``
+            # may still sit behind zero-cost edges; settle them too.
+            horizon = low
+        starts = offsets[done]
+        counts = offsets[done + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            continue
+        # Every slot of every settled row, row by row.
+        slots = np.arange(total) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
+        tails = edge_targets[slots]
+        keep = np.flatnonzero(~settled[tails])
+        slots, tails = slots[keep], tails[keep]
+        heads = np.repeat(done, counts)[keep]
+        candidate = dist[heads] + slot_costs[slots]
+        np.minimum.at(dist, tails, candidate)
+        # Any relaxation that lands on the new minimum is a valid
+        # predecessor: its head is settled, the tail settles later.
+        won = candidate == dist[tails]
+        parent[tails[won]] = heads[won]
+        is_open[tails] = True
+    settled_order = np.concatenate(rounds)
+    if wanted is not None and settled[wanted].all():
+        farthest = dist[wanted].max()
+        settled_order = settled_order[dist[settled_order] <= farthest]
+    return settled_order, dist, parent
 
 
 def dijkstra_multi_source_indexed(

@@ -55,7 +55,7 @@ def canonical_shortest_path(
     lexicographically smallest neighbor whose distance plus edge cost
     equals the node's distance exactly. The choice depends only on the
     distance surface, never on heap pop order — so the dict engine, the
-    CSR engine, a cached or shared-store closure, and a graph rebuilt
+    CSR engine, a cached or numpy-kernel closure, and a graph rebuilt
     with a different adjacency insertion order (say, one reloaded
     through the sorting :mod:`repro.graph.io` codec) all reconstruct
     the same path. Requires strictly positive costs (every true

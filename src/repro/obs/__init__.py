@@ -3,7 +3,7 @@
 Three pillars, one subsystem:
 
 - :mod:`repro.obs.trace` — per-request span trees threaded client →
-  server → session → scheduler → worker → closure store, with an
+  server → session → scheduler → worker, with an
   in-process ring-buffer collector and a slow-request log.
 - :mod:`repro.obs.registry` — process-wide counters, gauges, and
   exponential-bucket histograms with Prometheus text exposition

@@ -1,4 +1,4 @@
-"""Observability configuration — the session's seventh typed config.
+"""Observability configuration — the session's sixth typed config.
 
 Defaults encode the overhead discipline: **metrics on** (counters and
 histograms are cheap, and a serving deployment without them is blind),
@@ -27,7 +27,7 @@ class ObservabilityConfig:
     trace:
         Record a span tree per request (``session.last_trace()``,
         ``BatchResult.trace``, server ``trace`` op). Default off;
-        workers record compute/encode/store spans only while this is
+        workers record compute/encode spans only while this is
         on.
     slow_ms:
         When > 0 (and tracing is on), any request slower than this

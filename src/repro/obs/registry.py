@@ -16,8 +16,8 @@ Three instrument kinds, the minimum a serving deployment needs:
 their deltas ride the existing result-pipe stat dicts and are folded
 in by the parent (see ``SessionStats``), which is what keeps the
 registry's counts and the session's counts the *same numbers* instead
-of two drifting copies. Per-session counters (``SessionStats``, store
-and resilience totals) are therefore exposed as render-time **views**
+of two drifting copies. Per-session counters (``SessionStats``,
+resilience totals) are therefore exposed as render-time **views**
 (:func:`render_simple` blocks built from ``SessionStats.to_dict()``)
 rather than registered twice.
 

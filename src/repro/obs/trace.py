@@ -4,8 +4,8 @@ Answers the question the flat end-of-batch counters cannot: *where did
 this one slow request spend its time?* A :class:`Tracer` opens one
 :class:`TraceBuilder` per request; every layer the request crosses —
 server admission, session freeze/export/pool spin-up, scheduler
-dispatch, per-task queue wait, worker compute/encode, closure-store
-fetch/publish — records a span under the same ``trace_id``. Completed
+dispatch, per-task queue wait, worker compute/encode — records a
+span under the same ``trace_id``. Completed
 traces land in a bounded in-process :class:`TraceCollector` ring
 buffer, retrievable via ``session.last_trace()`` or the server
 ``trace`` op, and any request slower than a configured threshold is
@@ -27,8 +27,7 @@ Design constraints, in priority order:
   approximate (stamped at merge), which is fine for attribution.
 - **Hash-seed independence.** Trace and span ids come from
   :func:`os.urandom`, never ``hash()``, so ids are well-formed and
-  unique regardless of ``PYTHONHASHSEED`` — the same invariant the
-  closure-store digests obey.
+  unique regardless of ``PYTHONHASHSEED``.
 
 Span tree shape (what ``last_trace()`` returns)::
 
@@ -427,7 +426,7 @@ def format_trace(trace: dict | None) -> str:
 # ----------------------------------------------------------------------
 # Spawned workers have no TraceBuilder (and must not — shipping trace
 # context would mean new IPC). Instead the pool flips this module flag
-# at worker init when the session traces; compute/encode/store hooks
+# at worker init when the session traces; compute/encode hooks
 # then append (task_index, name, seconds, attrs) tuples here, and the
 # worker flushes them into the result message's stat-delta dict under
 # the "_spans" key. Single-threaded within a worker, so a plain list

@@ -93,43 +93,46 @@ _WORKER: dict = {}
 
 
 def _init_worker_state(handle, cache_config: tuple) -> None:
-    """Attach the shared graph (and closure store); import plugins.
+    """Attach the shared graph (or reuse the one a fork inherited);
+    import plugins.
 
     ``cache_config`` is the worker-config tuple ``(closure_size,
-    store_handle, plugin_modules, trace)`` built by the session. The
-    store handle (None with the store off) carries live
-    ``multiprocessing`` locks, which only travel through process
-    inheritance — exactly this init path. Plugin modules are imported
-    *before* any task runs, so runtime-registered methods exist in the
-    registry by the time the first summarizer is built; an import
-    failure propagates, failing worker init loudly (the session then
-    demotes to a local run) instead of silently mis-routing. A truthy
-    ``trace`` flips the worker's ambient span recorder on (see
-    :mod:`repro.obs.trace`), so compute/encode/store spans ride back
-    through the result pipe's stat-delta dict.
+    plugin_modules, trace)`` built by the session. Plugin modules are
+    imported *before* any task runs, so runtime-registered methods
+    exist in the registry by the time the first summarizer is built;
+    an import failure propagates, failing worker init loudly (the
+    session then demotes to a local run) instead of silently
+    mis-routing. A truthy ``trace`` flips the worker's ambient span
+    recorder on (see :mod:`repro.obs.trace`), so compute/encode spans
+    ride back through the result pipe's stat-delta dict.
     """
+    import gc
     import importlib
 
-    from repro.graph.shared import attach_knowledge_graph
+    from repro.graph.shared import (
+        attach_knowledge_graph,
+        inherited_knowledge_graph,
+    )
 
-    size, store_handle, plugin_modules, trace_on = cache_config
+    # A forked worker inherits its parent's whole heap. Freezing it
+    # keeps the worker's collections from walking (and so copying, page
+    # by page) objects it never frees.
+    gc.freeze()
+    size, plugin_modules, trace_on = cache_config
     for module in plugin_modules:
         importlib.import_module(module)
     if trace_on:
         from repro.obs import trace as obs_trace
 
         obs_trace.enable_ambient()
-    graph = attach_knowledge_graph(handle)
+    graph = inherited_knowledge_graph(handle)
+    if graph is None:
+        graph = attach_knowledge_graph(handle)
     _WORKER["graph"] = graph
     _WORKER["frozen"] = graph.freeze()
     _WORKER["closure_size"] = size
     _WORKER["cache"] = None
     _WORKER["summarizers"] = {}
-    _WORKER["store"] = None
-    if store_handle is not None:
-        from repro.cache.store import SharedClosureStore
-
-        _WORKER["store"] = SharedClosureStore.attach(store_handle)
 
 
 def _worker_summarizer(name: str, config):
@@ -145,16 +148,7 @@ def _worker_summarizer(name: str, config):
         if spec.uses_closure_cache:
             cache = _WORKER["cache"]
             if cache is None:
-                size = _WORKER["closure_size"]
-                store = _WORKER.get("store")
-                if store is not None:
-                    from repro.cache.readthrough import (
-                        StoreBackedClosureCache,
-                    )
-
-                    cache = StoreBackedClosureCache(size, store=store)
-                else:
-                    cache = TerminalClosureCache(size)
+                cache = TerminalClosureCache(_WORKER["closure_size"])
                 _WORKER["cache"] = cache
         summarizer = spec.build(_WORKER["graph"], config, cache)
         _WORKER["summarizers"][key] = summarizer
@@ -244,10 +238,9 @@ class ElasticWorkerPool:
         Picklable :class:`~repro.graph.shared.SharedGraphHandle` the
         workers attach.
     cache_config:
-        Worker-config tuple ``(closure_size, store_handle,
-        plugin_modules, trace)`` for each worker's own cache, shared
-        closure store, method plugins and span recorder (see
-        :func:`_init_worker_state`).
+        Worker-config tuple ``(closure_size, plugin_modules, trace)``
+        for each worker's own cache, method plugins and span recorder
+        (see :func:`_init_worker_state`).
     config:
         The :class:`SchedulerConfig` sizing/pressure knobs.
     initial_workers:

@@ -80,7 +80,6 @@ from repro.api import protocol
 from repro.api.config import CacheConfig, EngineConfig, ParallelConfig
 from repro.api.registry import available_methods
 from repro.api.session import ExplanationSession
-from repro.cache import ClosureStoreConfig
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.obs.config import ObservabilityConfig
 from repro.obs.registry import (
@@ -240,7 +239,6 @@ class ExplanationServer:
         state_dir: str | os.PathLike | None = None,
         journal: JournalConfig | None = None,
         journal_faults: FaultPlan | None = None,
-        store: ClosureStoreConfig | None = None,
         obs: ObservabilityConfig | None = None,
     ) -> None:
         if isinstance(graphs, KnowledgeGraph):
@@ -284,7 +282,6 @@ class ExplanationServer:
                 default_method=default_method,
                 resilience=resilience,
                 faults=faults,
-                store=store,
                 obs=obs,
             )
 
@@ -724,10 +721,8 @@ class ExplanationServer:
         host = self._host_for(frame)
         session = host.session_if_created()
         stats = {}
-        store_stats = None
         if session is not None:
             stats = session.stats.to_dict()
-            store_stats = session.store_stats()
         await self._send(
             writer,
             protocol.envelope(
@@ -735,9 +730,6 @@ class ExplanationServer:
                 {
                     "graph": host.name,
                     "session": stats,
-                    # Live shared-closure-store counters (None when the
-                    # store is off or not yet created for this version).
-                    "store": store_stats,
                     "pending": host.pending,
                     "requests": host.requests,
                     "uptime_seconds": (
@@ -1001,9 +993,6 @@ class ExplanationServer:
                     "task_timeouts": session.stats.task_timeouts,
                     "local_fallbacks": session.stats.local_fallbacks,
                 }
-                closure_store = session.store_stats()
-                if closure_store is not None:
-                    info["store"] = closure_store
             store = self._journals.get(name)
             if store is not None:
                 info["journal"] = store.stats()

@@ -150,6 +150,37 @@ class TestReportAndCache:
             pairs(source, {"u:0", "u:1"} - {source})
         assert len(cache) <= 2
 
+    def test_pair_fn_returns_settled_distances_and_a_valid_tree(
+        self, test_bench
+    ):
+        """A miss runs the numpy kernel: its id-keyed distances equal
+        the heap Dijkstra's on every node that run settles, and its
+        predecessor map walks every settled node back to the source
+        along exact-cost edges."""
+        from repro.graph.shortest_paths import dijkstra_frozen
+
+        graph = test_bench.graph
+        frozen = graph.freeze()
+        costs = frozen.costs_from(lambda u, v, w: 1.0 / (1.0 + w))
+        source, *rest = sorted(graph.nodes())[::97][:5]
+        dist, prev = TerminalClosureCache().pair_fn(frozen, costs)(
+            source, set(rest)
+        )
+        heap_dist, _ = dijkstra_frozen(frozen, source, costs, set(rest))
+        assert all(dist[node] == d for node, d in heap_dist.items())
+        assert source not in prev and len(prev) == len(dist) - 1
+        assert set(prev) == set(dist) - {source}
+        slots = costs.slots
+        for node in dist:
+            walk = node
+            while walk != source:
+                above = prev[walk]
+                slot = frozen.edge_slot(above, walk)
+                assert dist[above] + slots[slot] == dist[walk]
+                walk = above
+        with pytest.raises(KeyError):
+            prev["u:not-a-node"]
+
     def test_cache_cleared_on_refreeze(self):
         cache = TerminalClosureCache()
         graph = KnowledgeGraph()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.explanation import PathSetExplanation, SubgraphExplanation
+from repro.core.explanation import PathSetExplanation
 from repro.core.steiner_summary import SteinerSummarizer
 from repro.graph.paths import Path
 from repro.graph.types import NodeType

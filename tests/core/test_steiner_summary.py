@@ -1,7 +1,5 @@
 """ST summaries."""
 
-import pytest
-
 from repro.core.steiner_summary import SteinerSummarizer
 from repro.graph.subgraph import is_tree
 

@@ -1,7 +1,5 @@
 """Fairness slicing."""
 
-import pytest
-
 from repro.experiments.fairness import (
     FairnessReport,
     item_fairness,

@@ -1,7 +1,5 @@
 """Table reproductions."""
 
-import pytest
-
 from repro.experiments.tables import (
     angelopoulos_example,
     table1_example,

@@ -12,6 +12,7 @@ from repro.graph.shared import (
     attach_knowledge_graph,
     detach_all,
     export_frozen,
+    inherited_knowledge_graph,
 )
 from repro.graph.shortest_paths import dijkstra, dijkstra_frozen
 
@@ -176,3 +177,54 @@ class TestSpawnSmoke:
             export.close()
             export.unlink()
         assert _shm_tokens() == before
+
+
+def _inherit_probe(handle, expected, queue) -> None:
+    """Child target: did it get the exporter's graph object back?"""
+    graph = inherited_knowledge_graph(handle)
+    queue.put("none" if graph is None else graph is expected)
+
+
+def _inherits(context_name, handle, graph):
+    context = multiprocessing.get_context(context_name)
+    queue = context.Queue()
+    child = context.Process(
+        target=_inherit_probe, args=(handle, graph, queue)
+    )
+    child.start()
+    outcome = queue.get(timeout=120)
+    child.join(timeout=120)
+    assert child.exitcode == 0
+    return outcome
+
+
+@pytest.fixture()
+def fork_only():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+
+
+class TestForkInheritance:
+    def test_exporter_gets_none(self, graph, export):
+        assert inherited_knowledge_graph(export.handle) is None
+
+    def test_forked_child_reuses_the_exporters_graph(
+        self, graph, export, fork_only
+    ):
+        assert _inherits("fork", export.handle, graph) is True
+
+    def test_forked_child_after_mutation_gets_none(
+        self, graph, export, fork_only
+    ):
+        graph.add_edge("u:1", "i:2", 1.0)
+        assert _inherits("fork", export.handle, graph) == "none"
+
+    def test_forked_child_after_unlink_gets_none(self, graph, fork_only):
+        export = graph.freeze().to_shared()
+        export.close()
+        export.unlink()
+        assert _inherits("fork", export.handle, graph) == "none"
+
+    def test_spawned_child_gets_none(self, graph, export):
+        # A spawned child cannot receive the graph itself (nor need it).
+        assert _inherits("spawn", export.handle, None) == "none"

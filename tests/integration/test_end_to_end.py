@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.explanation import PathSetExplanation
 from repro.core.scenarios import (
-    Scenario,
     item_centric_task,
     item_group_task,
     user_centric_task,

@@ -1,7 +1,5 @@
 """Relevance: Σ w_M over explanation edges."""
 
-import pytest
-
 from repro.core.explanation import PathSetExplanation
 from repro.graph.paths import Path
 from repro.metrics import relevance

@@ -46,8 +46,8 @@ class TestToDict:
 
 class TestStatLine:
     def test_shared_format(self):
-        line = _stat_line("store", {"hits": 3, "bytes": 128})
-        assert line == "  store      hits=3 bytes=128"
+        line = _stat_line("closures", {"hits": 3, "misses": 1})
+        assert line == "  closures   hits=3 misses=1"
 
 
 class TestReportLines:
@@ -55,7 +55,6 @@ class TestReportLines:
         stats = SessionStats()
         assert stats.scheduler_line() is None
         assert stats.resilience_line() is None
-        assert stats.cache_line() is None
 
     def test_scheduler_line(self):
         stats = SessionStats(steals=4, grows=1, peak_queue_depth=9)
@@ -68,12 +67,4 @@ class TestReportLines:
         assert stats.resilience_line() == (
             "  resilience worker_deaths=1 task_retries=2 "
             "task_timeouts=0 local_fallbacks=0"
-        )
-
-    def test_cache_line(self):
-        stats = SessionStats(
-            store_hits=3, store_misses=1, store_bytes=256
-        )
-        assert stats.cache_line() == (
-            "  store      hits=3/4 (75%) evictions=0 bytes=256"
         )

@@ -1,8 +1,7 @@
 """Trace/span id generation must not depend on PYTHONHASHSEED.
 
-Ids come from ``os.urandom``, never ``hash()`` — the same invariant
-the closure-store digests obey. Two interpreters with different hash
-seeds must both produce well-formed, unique ids.
+Ids come from ``os.urandom``, never ``hash()``. Two interpreters with
+different hash seeds must both produce well-formed, unique ids.
 """
 
 import subprocess

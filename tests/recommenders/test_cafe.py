@@ -6,7 +6,6 @@ from repro.graph.types import NodeType
 from repro.recommenders.cafe import (
     DEFAULT_PATTERNS,
     USER_ITEM_ENTITY_ITEM,
-    USER_ITEM_USER_ITEM,
     CAFERecommender,
     MetaPath,
 )

@@ -48,18 +48,47 @@ EDITS = [("u:0", f"i:77{k:02d}", 1.0 + k) for k in range(8)]
 ACKED = 5  # the crash lands after this many acknowledged mutations
 
 
-def start_server(state_dir: Path) -> tuple[subprocess.Popen, int]:
-    """Launch ``serve --scale test`` and wait for its port banner."""
+#: Child-side prelude for the drain test: every session stream pauses
+#: after its first result until the test writes a line to the server's
+#: stdin, so SIGTERM and the probe provably land mid-stream.
+HOLD_STREAMS = """
+import sys
+from repro.api.session import ExplanationSession
+
+_stream = ExplanationSession.stream
+
+def _held(self, *args, **kwargs):
+    results = _stream(self, *args, **kwargs)
+    def hold():
+        for position, result in enumerate(results):
+            yield result
+            if position == 0:
+                sys.stdin.readline()
+    return hold()
+
+ExplanationSession.stream = _held
+"""
+
+
+def start_server(
+    state_dir: Path, prelude: str = ""
+) -> tuple[subprocess.Popen, int]:
+    """Launch ``serve --scale test`` and wait for its port banner.
+
+    ``prelude`` runs in the server process before the CLI starts; with
+    one, the server's stdin is a pipe the test may write to.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    code = (
-        "from repro.cli import main; raise SystemExit(main("
+    code = prelude + (
+        "\nfrom repro.cli import main; raise SystemExit(main("
         f"['serve', '--scale', 'test', '--port', '0', "
         f"'--state-dir', {str(state_dir)!r}]))"
     )
     proc = subprocess.Popen(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
         env=env,
+        stdin=subprocess.PIPE if prelude else None,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -162,20 +191,29 @@ class TestSigtermDrain:
     def test_drain_streams_everything_then_exits_zero(
         self, batch_tasks, tmp_path
     ):
-        proc, port = start_server(tmp_path)
+        proc, port = start_server(tmp_path, prelude=HOLD_STREAMS)
         try:
             with ExplanationClient("127.0.0.1", port) as client:
                 stream = client.stream(batch_tasks)
-                results = [next(stream)]  # the batch is now in flight
+                # The batch is now in flight, and held there: the
+                # server's stream yields nothing more until the release
+                # line below.
+                results = [next(stream)]
                 proc.send_signal(15)  # SIGTERM: drain, don't drop
                 # A new request is refused, typed and fast, while the
-                # admitted stream keeps computing.
+                # admitted stream is still unfinished.
                 with ExplanationClient("127.0.0.1", port) as probe:
+                    deadline = time.monotonic() + 10
+                    while not probe.health()["draining"]:  # SIGTERM seen
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
                     start = time.monotonic()
                     with pytest.raises(ShuttingDownError) as excinfo:
                         probe.run([batch_tasks[0]])
                     assert time.monotonic() - start < 0.5
                     assert excinfo.value.retry_after_ms is not None
+                proc.stdin.write("release\n")
+                proc.stdin.flush()
                 # Zero dropped results: the rest of the stream and its
                 # end frame all arrive despite the drain.
                 results.extend(stream)
@@ -191,6 +229,8 @@ class TestSigtermDrain:
         finally:
             proc.kill()
             proc.wait(timeout=30)
+            proc.stdin.close()
+            proc.stdout.close()
 
     def test_idle_connections_close_without_tracebacks(self, tmp_path):
         """Connections still open at SIGTERM are hung up on by the
